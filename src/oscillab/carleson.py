@@ -210,21 +210,3 @@ def bmo_to_carleson(
         rows[j] = np.real(np.fft.ifft2(spec * mult)).ravel()
     return CarlesonDensity(grid, T, rows, "zero")
 
-
-def pullback_growth(
-    mu: CarlesonDensity, maps, family
-) -> list:
-    """Normalized norm growth under a sweep of maps with analytic distortion.
-
-    Returns one (K, y) pair per map with
-    y = (norm(pull-back) - norm(mu)) / sup_norm^2.
-    """
-    base = carleson_norm(mu, family).value
-    sup2 = mu.sup_norm**2
-    out = []
-    for phi in maps:
-        if phi.K is None:
-            raise ValueError(f"map {phi.name} lacks an analytic distortion constant")
-        grown = carleson_norm(pullback(mu, phi), family).value
-        out.append((phi.K, (grown - base) / sup2))
-    return out

@@ -1,4 +1,4 @@
-"""Experiment orchestration: map grammar, sweeps, fits, reports, CLI.
+"""Experiment orchestration: map grammar, sweeps, fits, CSV output, CLI.
 
 Map grammar: ``name:key=value,key=value`` — e.g. ``shear:lambda=4``,
 ``strain:t=2``, ``twist:alpha=4``, ``flow:psi=sin,t=1,step=0.01``,
@@ -180,9 +180,11 @@ def _resolve_function(name: str, grid: Grid):
     if rest:
         for item in rest.split(","):
             k, _, v = item.partition("=")
-            kv[k] = float(v) if v.replace(".", "").replace("-", "").isdigit() else v
-    fn = corpus.builtin_function(base, grid, **kv)
-    return fn
+            try:
+                kv[k] = float(v)
+            except ValueError:
+                kv[k] = v
+    return corpus.builtin_function(base, grid, **kv)
 
 
 def _sample(fn, grid: Grid) -> GridFunction:
@@ -325,7 +327,7 @@ def run_sweep(spec: SweepSpec):
                 runs.append((v.lip, t, val / base))
         if len(runs) >= 4:
             fits["perturbed"] = perturbed_growth_comparison(runs)
-    rows.sort(key=lambda r: tuple(str(v) for v in r.values()))
+    rows.sort(key=lambda r: tuple(r.values()))
     return rows, fits
 
 
@@ -373,58 +375,6 @@ def fits_summary(fits: dict) -> list:
         else:
             lines.append(f"# fit {key} {entry}")
     return lines
-
-
-def report(fits: dict, criteria: dict) -> int:
-    """Print one pass/fail line per criterion; nonzero exit on any failure.
-
-    ``criteria`` maps a criterion name to a callable over the fit dict that
-    returns True on pass, False on fail, or raises KeyError when its
-    experiment is missing (reported SKIPPED).
-    """
-    exit_code = 0
-    for name in sorted(criteria):
-        try:
-            ok = criteria[name](fits)
-        except KeyError:
-            print(f"SKIPPED {name}")
-            exit_code = 1
-            continue
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            exit_code = 1
-    return exit_code
-
-
-def plot_svg(points, path: str, title: str = "") -> None:
-    """Minimal SVG line plot of (x, y) points (ratio against distortion)."""
-    pts = sorted(points)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    w, h, pad = 480, 320, 40
-    x0, x1 = min(xs), max(xs) or 1.0
-    y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-    sx = lambda x: pad + (w - 2 * pad) * (x - x0) / (x1 - x0)
-    sy = lambda y: h - pad - (h - 2 * pad) * (y - y0) / (y1 - y0)
-    path_d = " ".join(
-        f"{'M' if i == 0 else 'L'}{sx(x):.1f},{sy(y):.1f}" for i, (x, y) in enumerate(pts)
-    )
-    dots = "".join(
-        f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="crimson"/>'
-        for x, y in pts
-    )
-    with open(path, "w") as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">'
-            f'<rect width="{w}" height="{h}" fill="white"/>'
-            f'<text x="{w / 2}" y="20" text-anchor="middle">{title}</text>'
-            f'<path d="{path_d}" fill="none" stroke="steelblue" stroke-width="2"/>'
-            f"{dots}</svg>"
-        )
 
 
 def _open_out(out: str):
@@ -475,12 +425,9 @@ def _cmd_seminorm(args) -> int:
     family = ball_family(grid, args.stride, radii)
     params = OscillationParams(p=args.p, a=args.a, d=grid.d)
     est = seminorm(f, params, family)
-    k_phi = 2.0
-    print("name,p,a,K_phi,seminorm,argmax_center,argmax_radius")
+    print("name,p,a,seminorm,argmax_center,argmax_radius")
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
-    print(
-        f"{args.f},{args.p:g},{args.a:g},{k_phi:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}"
-    )
+    print(f"{args.f},{args.p:g},{args.a:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}")
     return 0
 
 
@@ -564,7 +511,6 @@ def _add_common(p, periodic_default=False):
     p.add_argument("--radii", type=str, default="")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default="-")
-    p.add_argument("--jobs", type=int, default=1, help="reserved; runs are sequential")
 
 
 def main(argv=None) -> int:

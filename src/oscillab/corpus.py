@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .domain import Box, Grid, GridFunction
+from .errors import UnknownName
 
 
 def _dist_to(pts: np.ndarray, center, box: Box | None = None) -> np.ndarray:
@@ -121,8 +122,9 @@ def builtin_function(name: str, grid: Grid, **kwargs):
             box,
         )
     if name == "checker":
-        return checkerboard(grid, kwargs.get("seed"))
-    raise KeyError(f"unknown builtin function {name!r}")
+        seed = kwargs.get("seed")
+        return checkerboard(grid, None if seed is None else int(seed))
+    raise UnknownName(f"unknown builtin function {name!r}")
 
 
 def _default_center(grid: Grid):
@@ -177,4 +179,4 @@ def builtin_density(name: str, grid: Grid, **kwargs):
         g = builtin_function(kwargs.get("g", "log"), grid)
         gf = g if isinstance(g, GridFunction) else GridFunction.from_callable(grid, g)
         return bmo_to_carleson(gf, shells)
-    raise KeyError(f"unknown builtin density {name!r}")
+    raise UnknownName(f"unknown builtin density {name!r}")

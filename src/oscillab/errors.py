@@ -5,6 +5,14 @@ class OscillabError(Exception):
     """Base class for all package errors."""
 
 
+class BadGrid(OscillabError, ValueError):
+    """Box or grid geometry is invalid (side, dimension or cell count)."""
+
+
+class UnknownName(OscillabError):
+    """No builtin function or density has the requested name."""
+
+
 class EmptyBall(OscillabError):
     """No cell center falls inside the requested ball."""
 
@@ -54,6 +62,10 @@ class NonPeriodic(OscillabError):
 
 class TooFewPoints(OscillabError):
     """Growth-law fit needs at least 4 sample points."""
+
+
+class RepeatedAbscissa(OscillabError, ValueError):
+    """Growth-law fit got two points with the same x (e.g. maps of equal K)."""
 
 
 class SpecError(OscillabError):

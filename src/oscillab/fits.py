@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import TooFewPoints
+from .errors import RepeatedAbscissa, TooFewPoints
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ def fit_models(points, eps_max: float = 2.0, models=("log", "power", "affine", "
         raise TooFewPoints(f"need at least 4 points, got {len(pts)}")
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("x values must be strictly increasing")
+    repeated = x[1:][np.diff(x) <= 0]
+    if len(repeated):
+        raise RepeatedAbscissa(f"fit needs distinct x values, got x = {repeated[0]:g} twice")
     out = {}
     if "log" in models:
         out["log"] = _fit_log(x, y, len(x))

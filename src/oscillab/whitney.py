@@ -22,6 +22,7 @@ from .domain import (
     PixelMask,
     cells_in_ball,
     distance_transform,
+    interpolate,
     unit_ball_volume,
 )
 from .errors import DegenerateMask, OutOfDomain, RadiusViolation
@@ -128,15 +129,12 @@ def whitney_decompose(
     cubes.sort()
 
     h = grid.h
-    low = np.asarray(grid.box.lower)
-    balls, ratios = [], []
-    for i0, j0, m in cubes:
-        s = m * h
-        center = (low[0] + (i0 + m / 2.0) * h, low[1] + (j0 + m / 2.0) * h)
-        r = _BALL_SHRINK * s / 2.0
-        d_center = dist.at_point(np.asarray(center))
-        balls.append(Ball(center, r))
-        ratios.append(2.0 * r / d_center)
+    cube = np.array(cubes, dtype=float)
+    m = cube[:, 2:]
+    centers = np.asarray(grid.box.lower) + (cube[:, :2] + m / 2.0) * h
+    radii = _BALL_SHRINK * (m[:, 0] * h) / 2.0
+    ratios = (2.0 * radii / interpolate(grid, dist.dist, centers)).tolist()
+    balls = [Ball(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
 
     covered = np.zeros(grid.size, dtype=bool)
     for ball in balls:

@@ -1,18 +1,18 @@
-"""Sweep specs, map grammar, CSV output, reports, determinism."""
+"""Sweep specs, map grammar, CSV output, determinism, CLI errors."""
 
 import io
 import math
 
+import numpy as np
 import pytest
 
 from oscillab.cli import (
     SweepSpec,
+    _resolve_function,
     default_radii,
     fits_summary,
     main,
     parse_map,
-    plot_svg,
-    report,
     run_sweep,
     write_csv,
 )
@@ -116,27 +116,21 @@ def test_covering_sweep_negative_control():
     assert by_map["stretch(3)"] > 2.5 * by_map["identity"]
 
 
-def test_report_pass_fail_skip(capsys):
-    fits = {"demo": {"slope": 1.0}}
-    criteria = {
-        "a-passes": lambda f: f["demo"]["slope"] > 0,
-        "b-fails": lambda f: f["demo"]["slope"] < 0,
-        "c-skipped": lambda f: f["missing"]["x"],
-    }
-    code = report(fits, criteria)
-    out = capsys.readouterr().out
-    assert "PASS a-passes" in out
-    assert "FAIL b-fails" in out
-    assert "SKIPPED c-skipped" in out
-    assert code == 1
-    assert report(fits, {"a": lambda f: True}) == 0
+def test_transport_rows_in_numeric_time_order(capsys):
+    code = main(
+        ["transport", "--grid-n", "32", "--stride", "16", "--dt", "0.1", "--times", "0,5,10,20"]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(",")[0] for ln in lines[1:5]] == ["0", "5", "10", "20"]
 
 
-def test_plot_svg(tmp_path):
-    path = tmp_path / "plot.svg"
-    plot_svg([(1.0, 1.0), (2.0, 1.5), (4.0, 2.0)], str(path), title="growth")
-    text = path.read_text()
-    assert text.startswith("<svg") and "growth" in text
+def test_function_kwargs_parse_as_numbers():
+    g = Grid(Box((-1.0, -1.0), 2.0), 32)
+    fn = _resolve_function("log:clamp=1e-3", g)
+    assert fn(np.zeros((1, 2)))[0] == pytest.approx(math.log(1e-3))
+    for f in ("log:clamp=1e-3", "checker:seed=3"):
+        assert main(["seminorm", "--f", f, "--grid-n", "32", "--stride", "16"]) == 0
 
 
 def test_main_seminorm_exit_code(capsys):
@@ -173,6 +167,17 @@ def test_main_sweep_writes_file(tmp_path, monkeypatch):
 
 
 def test_main_bad_map_is_clean_error(capsys):
-    code = main(["whitney", "--map", "wormhole", "--ball", "0,0,0.2"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    bad_inputs = [
+        ["whitney", "--map", "wormhole", "--ball", "0,0,0.2"],
+        ["seminorm", "--f", "wormhole", "--grid-n", "32"],
+        ["carleson", "--density", "wormhole", "--grid-n", "32"],
+        ["seminorm", "--f", "log", "--grid-n", "48"],
+        ["seminorm", "--f", "log", "--box-side", "0"],
+        # equal K (shear and twist at 2) gives the growth fit a repeated x
+        ["sweep", "--kind", "covering", "--grid-n", "32",
+         "--maps", "shear:lambda=2;twist:alpha=2;strain:t=0.5;strain:t=1"],
+    ]
+    for argv in bad_inputs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), argv

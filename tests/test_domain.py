@@ -156,6 +156,33 @@ def test_distance_transform_periodic_band():
     assert np.abs(df.dist - analytic)[mask.bits].max() <= g.h * math.sqrt(2)
 
 
+def _brute_force_distance(mask):
+    """Distance to the nearest complement cell center, by exhaustive search."""
+    g = mask.grid
+    idx = np.indices((g.n,) * g.d).reshape(g.d, -1).T
+    outside = idx[~mask.bits]
+    dist = np.zeros(g.size)
+    for i in np.flatnonzero(mask.bits):
+        disp = outside - idx[i]
+        if g.box.periodic:
+            disp = (disp + g.n // 2) % g.n - g.n // 2
+        dist[i] = np.sqrt(((g.h * disp) ** 2).sum(axis=1).min())
+    return dist
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 64), (2, 8), (2, 32), (3, 8), (3, 16)])
+def test_distance_transform_matches_brute_force(d, n, periodic):
+    box = Box((0.0,) * d, 1.0, periodic) if periodic else Box((-1.0,) * d, 2.0)
+    g = Grid(box, n)
+    rng = np.random.default_rng([d, n, periodic])
+    for inside in (0.5, 0.9, 0.99):
+        bits = rng.random(g.size) < inside
+        bits[:2] = (True, False)  # neither empty nor full
+        mask = PixelMask(g, bits)
+        assert np.array_equal(distance_transform(mask).dist, _brute_force_distance(mask))
+
+
 def test_distance_transform_degenerate():
     g = Grid(WINDOW, 64)
     with pytest.raises(DegenerateMask):
