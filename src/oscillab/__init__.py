@@ -16,7 +16,6 @@ from .domain import (
 )
 from .maps import (
     BiLipMap,
-    FlowMap,
     VectorField,
     estimate_K,
     integrate_flow,
@@ -30,7 +29,6 @@ __all__ = [
     "Box",
     "BiLipMap",
     "DistanceField",
-    "FlowMap",
     "Grid",
     "GridFunction",
     "OscillationParams",

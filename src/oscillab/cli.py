@@ -1,8 +1,10 @@
 """Experiment orchestration: map grammar, sweeps, fits, CSV output, CLI.
 
-Map grammar: ``name:key=value,key=value`` — e.g. ``shear:lambda=4``,
-``strain:t=2``, ``twist:alpha=4``, ``flow:psi=sin,t=1,step=0.01``,
-``rotation:angle=1.5707963``, ``translation:dx=0.25,dy=0``.
+Maps, vector fields and builtin functions share one grammar,
+``name:key=value,key=value`` — e.g. ``shear:lambda=4``, ``strain:t=2``,
+``flow:psi=sin,t=1,step=0.01``, ``cellular:amp=0.02,k=2``, ``log:clamp=1e-3``.
+An unknown map or field name or key, or a value that does not parse, is a
+SpecError.
 
 Sweep specs are plain-text key=value files; identical spec plus seed
 reproduces byte-identical CSV output.
@@ -11,7 +13,9 @@ reproduces byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -34,47 +38,93 @@ from .transport import (
 from .whitney import covering_statistic, image_mask, shell_histogram, whitney_decompose
 
 
+def _cast(text: str, like, what: str):
+    """``text`` converted to the type of ``like``; SpecError if it does not parse."""
+    try:
+        return type(like)(text)
+    except ValueError:
+        raise SpecError(f"bad value {text!r} for {what}") from None
+
+
+def _floats(text: str, what: str) -> list:
+    """Comma-separated numbers, as given on the command line or in a spec file."""
+    return [_cast(v, 0.0, what) for v in text.split(",")]
+
+
+def _parse_named(text: str) -> tuple:
+    """Split ``name:key=value,key=value`` into (name, {key: value text})."""
+    name, _, rest = text.partition(":")
+    kv = {}
+    for item in rest.split(",") if rest else ():
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise SpecError(f"bad parameter {item!r} in {text!r}")
+        kv[key] = value
+    return name, kv
+
+
+# amplitude giving the cellular field Lipschitz constant 1
+_UNIT_AMP = 1.0 / (2 * math.pi) ** 2
+
+
+def _flow(psi: str, t: float, step: float, amp: float) -> maps.BiLipMap:
+    fields = {"sin": lambda: maps.cellular_field(amp), "strain": maps.strain_field}
+    if psi not in fields:
+        raise SpecError(f"unknown stream function {psi!r}")
+    return maps.integrate_flow(fields[psi](), t, step)
+
+
+# name -> (builder, {key: default}); the builder takes the values in key order
+# and each value is cast to the type of its default.
+MAP_BUILDERS = {
+    "identity": (maps.make_identity, {}),
+    "shear": (maps.make_shear, {"lambda": 1.0}),
+    "strain": (maps.make_linear_strain, {"t": 1.0}),
+    "twist": (maps.make_hat_twist, {"alpha": 1.0}),
+    "rotation": (maps.make_rotation, {"angle": math.pi / 2}),
+    "translation": (lambda dx, dy: maps.make_translation((dx, dy)), {"dx": 0.0, "dy": 0.0}),
+    "stretch": (maps.make_stretch, {"factor": 2.0}),
+    "flow": (_flow, {"psi": "sin", "t": 1.0, "step": 0.01, "amp": _UNIT_AMP}),
+}
+
+FIELD_BUILDERS = {
+    "strain": (maps.strain_field, {}),
+    "constant": (lambda vx, vy: maps.constant_field((vx, vy)), {"vx": 1.0, "vy": 0.0}),
+    "cellular": (maps.cellular_field, {"amp": _UNIT_AMP, "k": 1}),
+}
+
+
+def _build(table: dict, what: str, text: str):
+    name, kv = _parse_named(text)
+    if name not in table:
+        raise SpecError(f"unknown {what} {name!r}")
+    builder, defaults = table[name]
+    unknown = sorted(set(kv) - set(defaults))
+    if unknown:
+        raise SpecError(f"unknown {what} parameter {', '.join(unknown)} in {text!r}")
+    values = [
+        _cast(kv[key], default, f"{key} in {text!r}") if key in kv else default
+        for key, default in defaults.items()
+    ]
+    try:
+        return builder(*values)
+    except (ArithmeticError, ValueError) as exc:
+        raise SpecError(f"bad parameters in {what} spec {text!r}: {exc}") from exc
+
+
 def parse_map(spec: str) -> maps.BiLipMap:
     """Build a zoo map from its grammar string."""
-    name, _, rest = spec.partition(":")
-    kv = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            if not _:
-                raise SpecError(f"bad map parameter {item!r} in {spec!r}")
-            kv[k] = v
-    try:
-        if name == "identity":
-            return maps.make_identity()
-        if name == "shear":
-            return maps.make_shear(float(kv.get("lambda", 1.0)))
-        if name == "strain":
-            return maps.make_linear_strain(float(kv.get("t", 1.0)))
-        if name == "twist":
-            return maps.make_hat_twist(float(kv.get("alpha", 1.0)))
-        if name == "rotation":
-            return maps.make_rotation(float(kv.get("angle", math.pi / 2)))
-        if name == "translation":
-            return maps.make_translation(
-                (float(kv.get("dx", 0.0)), float(kv.get("dy", 0.0)))
-            )
-        if name == "stretch":
-            return maps.make_stretch(float(kv.get("factor", 2.0)))
-        if name == "flow":
-            psi = kv.get("psi", "sin")
-            if psi == "sin":
-                v = maps.cellular_field(float(kv.get("amp", 1.0 / (2 * math.pi) ** 2)))
-            elif psi == "strain":
-                v = maps.strain_field()
-            else:
-                raise SpecError(f"unknown stream function {psi!r}")
-            return maps.integrate_flow(
-                v, float(kv.get("t", 1.0)), float(kv.get("step", 0.01))
-            )
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad parameters in map spec {spec!r}: {exc}") from exc
-    raise SpecError(f"unknown map {name!r}")
+    return _build(MAP_BUILDERS, "map", spec)
+
+
+def _resolve_field(spec: str) -> maps.VectorField:
+    return _build(FIELD_BUILDERS, "vector field", spec)
+
+
+def _resolve_function(spec: str, grid: Grid):
+    name, kv = _parse_named(spec)
+    kwargs = {key: _cast(v, 0.0, f"{key} in {spec!r}") for key, v in kv.items()}
+    return corpus.builtin_function(name, grid, **kwargs)
 
 
 @dataclass
@@ -99,14 +149,15 @@ class SweepSpec:
     seed: int = 0
     out: str = "-"
 
-    KINDS = ("bmo-composition", "holder", "covering", "carleson", "transport", "perturbed")
-
     def validate(self):
         bad = []
-        if self.kind not in self.KINDS:
+        if self.kind not in RUNNERS:
             bad.append(f"kind={self.kind!r}")
         if self.grid_n < 8:
             bad.append(f"grid_n={self.grid_n}")
+        if self.kind == "perturbed" and self.a != 0:
+            # the sharp-prefactor fit models the a = 0 seminorm
+            bad.append(f"a={self.a:g} (perturbed needs a=0)")
         if bad:
             raise SpecError("invalid sweep spec: " + ", ".join(bad))
 
@@ -138,25 +189,17 @@ class SweepSpec:
             spec.maps = [m for m in kv["maps"].split(";") if m]
         if "functions" in kv:
             spec.functions = [f for f in kv["functions"].split(";") if f]
-        for key, cast in (
-            ("grid_n", int),
-            ("stride", int),
-            ("seed", int),
-            ("p", float),
-            ("a", float),
-            ("dt", float),
-            ("box_side", float),
-        ):
+        for key in ("grid_n", "stride", "seed", "p", "a", "dt", "box_side"):
             if key in kv:
-                setattr(spec, key, cast(kv[key]))
+                setattr(spec, key, _cast(kv[key], getattr(spec, key), key))
         if "box_lower" in kv:
-            spec.box_lower = tuple(float(v) for v in kv["box_lower"].split(","))
+            spec.box_lower = tuple(_floats(kv["box_lower"], "box_lower"))
         if "periodic" in kv:
             spec.periodic = kv["periodic"].lower() in ("1", "true", "yes")
         if "radii" in kv:
-            spec.radii = [float(v) for v in kv["radii"].split(",")]
+            spec.radii = _floats(kv["radii"], "radii")
         if "times" in kv:
-            spec.times = [float(v) for v in kv["times"].split(",")]
+            spec.times = _floats(kv["times"], "times")
         for key in ("density", "field_name", "out"):
             if key in kv:
                 setattr(spec, key, kv[key])
@@ -174,177 +217,125 @@ def default_radii(grid: Grid) -> list:
     return radii
 
 
-def _resolve_function(name: str, grid: Grid):
-    base, _, rest = name.partition(":")
-    kv = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            try:
-                kv[k] = float(v)
-            except ValueError:
-                kv[k] = v
-    return corpus.builtin_function(base, grid, **kv)
-
-
 def _sample(fn, grid: Grid) -> GridFunction:
     if isinstance(fn, GridFunction):
         return fn
     return GridFunction.from_callable(grid, fn)
 
 
+def _growth_fits(points: dict, grid: Grid) -> dict:
+    """Growth-law fits against K for every point set large enough to fit."""
+    return {key: fit_models(pts, eps_max=float(grid.d))
+            for key, pts in sorted(points.items()) if len(pts) >= 4}
+
+
+def _run_composition(spec: SweepSpec, grid: Grid):
+    family = spec.family(grid)
+    params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
+    rows, points = [], {}
+    for fname in spec.functions:
+        fn = _resolve_function(fname, grid)
+        f = _sample(fn, grid)
+        s_in = seminorm(f, params, family).value
+        for mspec in spec.maps:
+            phi = parse_map(mspec)
+            composed = None
+            if not isinstance(fn, GridFunction):
+                composed = GridFunction.from_callable(
+                    grid, lambda x, fn=fn, phi=phi: fn(phi.forward(x))
+                )
+            ratio = composition_ratio(f, phi, params, family, composed=composed)
+            k_est = maps.estimate_K(phi, seed=spec.seed, box=grid.box)
+            rows.append({"map": phi.name, "params": mspec, "function": fname,
+                         "K_analytic": phi.K, "K_estimated": k_est, "seminorm_in": s_in,
+                         "seminorm_out": ratio * s_in, "ratio": ratio})
+            points.setdefault(fname, []).append((phi.K, ratio))
+    return rows, _growth_fits(points, grid)
+
+
+def _run_covering(spec: SweepSpec, grid: Grid):
+    ball = Ball(tuple(grid.box.center), grid.box.side / 8.0)
+    rows, pts = [], []
+    for mspec in spec.maps:
+        phi = parse_map(mspec)
+        mask = image_mask(phi, ball, grid)
+        cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
+        stat = covering_statistic(cover, a=spec.a, p=spec.p)
+        hist = shell_histogram(cover, phi.K)
+        rows.append({"map": phi.name, "params": mspec, "K_analytic": phi.K, "statistic": stat,
+                     "covered_mass_fraction": hist.covered_mass_fraction,
+                     "shell_decay_constant": hist.decay_constant,
+                     "uncovered_fraction": cover.uncovered_fraction})
+        pts.append((phi.K, stat))
+    return rows, _growth_fits({"covering": pts}, grid)
+
+
+def _run_carleson(spec: SweepSpec, grid: Grid):
+    family = spec.family(grid)
+    mu = corpus.builtin_density(spec.density, grid)
+    base = carl.carleson_norm(mu, family).value
+    rows, pts = [], []
+    for mspec in spec.maps:
+        phi = parse_map(mspec)
+        grown = carl.carleson_norm(carl.pullback(mu, phi), family).value
+        y = (grown - base) / mu.sup_norm**2
+        rows.append({"map": phi.name, "params": mspec, "K_analytic": phi.K,
+                     "norm_in": base, "norm_out": grown, "growth": y})
+        pts.append((phi.K, y))
+    return rows, _growth_fits({"carleson": pts}, grid)
+
+
+def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
+    """Seminorm of the solution at each of ``spec.times``, relative to t = 0.
+
+    ``solve(spec, grid, v, fn, u0)`` returns one GridFunction per output
+    time; ``fit(v, pts)`` fits the (t, ratio) points with t > 0.
+    """
+    v = _resolve_field(spec.field_name)
+    fn = _resolve_function(spec.functions[0], grid)
+    u0 = _sample(fn, grid)
+    family = spec.family(grid)
+    params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
+    base = seminorm(u0, params, family).value
+    rows, pts = [], []
+    for t, u in zip(spec.times, solve(spec, grid, v, fn, u0)):
+        val = seminorm(u, params, family).value
+        rows.append({"t": t, "seminorm": val, "ratio": val / base,
+                     "l2": float(np.sqrt(np.mean(u.values**2))),
+                     "min": float(u.values.min()), "max": float(u.values.max())})
+        if t > 0:
+            pts.append((t, val / base))
+    return rows, ({spec.kind: fit(v, pts)} if len(pts) >= 4 else {})
+
+
+def _solve_transport(spec: SweepSpec, grid: Grid, v, fn, u0) -> list:
+    return solve_transport(TransportProblem(v, fn, grid, max(spec.times), spec.dt), spec.times)
+
+
+def _solve_perturbed(spec: SweepSpec, grid: Grid, v, fn, u0) -> list:
+    return solve_perturbed(v, u0, max(spec.times), spec.dt, spec.times)
+
+
+RUNNERS = {
+    "bmo-composition": _run_composition,
+    "holder": _run_composition,
+    "covering": _run_covering,
+    "carleson": _run_carleson,
+    "transport": functools.partial(
+        _run_series, solve=_solve_transport,
+        fit=lambda v, pts: fit_models(pts, models=("affine", "exp"))),
+    "perturbed": functools.partial(
+        _run_series, solve=_solve_perturbed,
+        fit=lambda v, pts: perturbed_growth_comparison([(v.lip, t, r) for t, r in pts])),
+}
+
+
 def run_sweep(spec: SweepSpec):
     """Execute one sweep; returns (csv_rows, fits) with deterministic order."""
     spec.validate()
-    grid = spec.grid()
-    rows = []
-    fits: dict = {}
-    if spec.kind in ("bmo-composition", "holder"):
-        family = spec.family(grid)
-        params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
-        points_by_fn: dict = {}
-        for fname in spec.functions:
-            fn = _resolve_function(fname, grid)
-            f = _sample(fn, grid)
-            s_in = seminorm(f, params, family).value
-            for mspec in spec.maps:
-                phi = parse_map(mspec)
-                composed = None
-                if not isinstance(fn, GridFunction):
-                    composed = GridFunction.from_callable(
-                        grid, lambda x, fn=fn, phi=phi: fn(phi.forward(x))
-                    )
-                ratio = composition_ratio(f, phi, params, family, composed=composed)
-                k_est = maps.estimate_K(phi, seed=spec.seed, box=grid.box)
-                rows.append(
-                    {
-                        "map": phi.name,
-                        "params": mspec,
-                        "function": fname,
-                        "K_analytic": phi.K,
-                        "K_estimated": k_est,
-                        "seminorm_in": s_in,
-                        "seminorm_out": ratio * s_in,
-                        "ratio": ratio,
-                    }
-                )
-                points_by_fn.setdefault(fname, []).append((phi.K, ratio))
-        for fname, pts in sorted(points_by_fn.items()):
-            if len(pts) >= 4:
-                fits[fname] = fit_models(pts, eps_max=float(grid.d))
-    elif spec.kind == "covering":
-        ball = Ball(tuple(grid.box.center), grid.box.side / 8.0)
-        pts = []
-        for mspec in spec.maps:
-            phi = parse_map(mspec)
-            mask = image_mask(phi, ball, grid)
-            cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
-            stat = covering_statistic(cover, a=spec.a, p=spec.p)
-            hist = shell_histogram(cover, phi.K)
-            rows.append(
-                {
-                    "map": phi.name,
-                    "params": mspec,
-                    "K_analytic": phi.K,
-                    "statistic": stat,
-                    "covered_mass_fraction": hist.covered_mass_fraction,
-                    "shell_decay_constant": hist.decay_constant,
-                    "uncovered_fraction": cover.uncovered_fraction,
-                }
-            )
-            pts.append((phi.K, stat))
-        if len(pts) >= 4:
-            fits["covering"] = fit_models(pts, eps_max=float(grid.d))
-    elif spec.kind == "carleson":
-        family = spec.family(grid)
-        mu = corpus.builtin_density(spec.density, grid)
-        base = carl.carleson_norm(mu, family).value
-        pts = []
-        for mspec in spec.maps:
-            phi = parse_map(mspec)
-            grown = carl.carleson_norm(carl.pullback(mu, phi), family).value
-            y = (grown - base) / mu.sup_norm**2
-            rows.append(
-                {
-                    "map": phi.name,
-                    "params": mspec,
-                    "K_analytic": phi.K,
-                    "norm_in": base,
-                    "norm_out": grown,
-                    "growth": y,
-                }
-            )
-            pts.append((phi.K, y))
-        if len(pts) >= 4:
-            fits["carleson"] = fit_models(pts, eps_max=float(grid.d))
-    elif spec.kind == "transport":
-        v = _resolve_field(spec.field_name)
-        fn = _resolve_function(spec.functions[0], grid)
-        prob = TransportProblem(v, fn, grid, max(spec.times), spec.dt)
-        family = spec.family(grid)
-        params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
-        sols = solve_transport(prob, spec.times)
-        base = seminorm(sols[0], params, family).value
-        pts = []
-        for t, u in zip(spec.times, sols):
-            val = seminorm(u, params, family).value
-            rows.append(
-                {
-                    "t": t,
-                    "seminorm": val,
-                    "ratio": val / base,
-                    "l2": float(np.sqrt(np.mean(u.values**2))),
-                    "min": float(u.values.min()),
-                    "max": float(u.values.max()),
-                }
-            )
-            if t > 0:
-                pts.append((t, val / base))
-        if len(pts) >= 4:
-            fits["transport"] = fit_models(pts, models=("affine", "exp"))
-    elif spec.kind == "perturbed":
-        v = _resolve_field(spec.field_name)
-        fn = _resolve_function(spec.functions[0], grid)
-        omega0 = _sample(fn, grid)
-        family = spec.family(grid)
-        params = OscillationParams(p=spec.p, a=0.0, d=grid.d)
-        sols = solve_perturbed(v, omega0, max(spec.times), spec.dt, spec.times)
-        base = seminorm(omega0, params, family).value
-        runs = []
-        for t, w in zip(spec.times, sols):
-            val = seminorm(w, params, family).value
-            rows.append(
-                {
-                    "t": t,
-                    "seminorm": val,
-                    "ratio": val / base,
-                    "l2": float(np.sqrt(np.mean(w.values**2))),
-                    "min": float(w.values.min()),
-                    "max": float(w.values.max()),
-                }
-            )
-            if t > 0:
-                runs.append((v.lip, t, val / base))
-        if len(runs) >= 4:
-            fits["perturbed"] = perturbed_growth_comparison(runs)
+    rows, fits = RUNNERS[spec.kind](spec, spec.grid())
     rows.sort(key=lambda r: tuple(r.values()))
     return rows, fits
-
-
-def _resolve_field(name: str) -> maps.VectorField:
-    base, _, rest = name.partition(":")
-    kv = dict(item.split("=") for item in rest.split(",") if "=" in item)
-    if base == "strain":
-        return maps.strain_field()
-    if base == "constant":
-        return maps.constant_field(
-            (float(kv.get("vx", 1.0)), float(kv.get("vy", 0.0)))
-        )
-    if base == "cellular":
-        return maps.cellular_field(
-            float(kv.get("amp", 1.0 / (2 * math.pi) ** 2)), int(kv.get("k", 1))
-        )
-    raise SpecError(f"unknown vector field {name!r}")
 
 
 def write_csv(rows, stream) -> None:
@@ -354,13 +345,7 @@ def write_csv(rows, stream) -> None:
     writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _fmt(v) for k, v in row.items()})
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return v
+        writer.writerow({k: f"{v:.10g}" if isinstance(v, float) else v for k, v in row.items()})
 
 
 def fits_summary(fits: dict) -> list:
@@ -377,54 +362,64 @@ def fits_summary(fits: dict) -> list:
     return lines
 
 
-def _open_out(out: str):
+@contextlib.contextmanager
+def _output(out: str):
+    """stdout for "-" or "", else a file (relative to $OSCILLAB_OUT_DIR if set)."""
     if out in ("-", ""):
-        return sys.stdout, False
-    directory = os.environ.get("OSCILLAB_OUT_DIR", "")
-    path = os.path.join(directory, out) if directory else out
-    return open(path, "w"), True
+        yield sys.stdout
+        return
+    with open(os.path.join(os.environ.get("OSCILLAB_OUT_DIR", ""), out), "w") as fh:
+        yield fh
+
+
+def _write_rows(out: str, rows, fit_lines) -> None:
+    with _output(out) as stream:
+        write_csv(rows, stream)
+        for line in fit_lines:
+            stream.write(line + "\n")
+
+
+def _grid(args) -> Grid:
+    return Grid(Box(tuple(args.box_lower), args.box_side, args.periodic), args.grid_n)
+
+
+def _radii(args) -> list:
+    return _floats(args.radii, "--radii") if args.radii else []
 
 
 def _cmd_sweep(args) -> int:
     if args.spec:
         spec = SweepSpec.from_file(args.spec)
     else:
-        kv = {
-            "kind": args.kind,
-            "maps": args.maps or "",
-            "functions": args.functions,
-            "grid_n": str(args.grid_n),
-            "stride": str(args.stride),
-            "a": str(args.a),
-            "p": str(args.p),
-        }
-        if args.seed is not None:
-            kv["seed"] = str(args.seed)
-        spec = SweepSpec.from_dict(kv)
+        spec = SweepSpec.from_dict(
+            {"kind": args.kind, "maps": args.maps, "functions": args.functions,
+             "grid_n": str(args.grid_n), "stride": str(args.stride),
+             "a": str(args.a), "p": str(args.p)}
+        )
     if args.seed is not None:
         spec.seed = args.seed
     rows, fits = run_sweep(spec)
-    stream, close = _open_out(args.out or spec.out)
-    try:
-        write_csv(rows, stream)
-        for line in fits_summary(fits):
-            stream.write(line + "\n")
-        if not fits:
-            stream.write("# NoFit\n")
-    finally:
-        if close:
-            stream.close()
+    _write_rows(args.out or spec.out, rows, fits_summary(fits) or ["# NoFit"])
+    return 0
+
+
+def _cmd_transport(args) -> int:
+    spec = SweepSpec(
+        kind=args.command, functions=[args.u0], field_name=args.field,
+        times=_floats(args.times, "--times"), dt=args.dt, grid_n=args.grid_n,
+        box_lower=tuple(args.box_lower), box_side=args.box_side, periodic=args.periodic,
+        stride=args.stride, radii=_radii(args), a=args.a, p=args.p, seed=args.seed,
+    )
+    rows, fits = run_sweep(spec)
+    _write_rows(args.out, rows, fits_summary(fits))
     return 0
 
 
 def _cmd_seminorm(args) -> int:
-    grid = Grid(Box(tuple(args.box_lower), args.box_side, args.periodic), args.grid_n)
-    fn = _resolve_function(args.f, grid)
-    f = _sample(fn, grid)
-    radii = [float(r) for r in args.radii.split(",")] if args.radii else default_radii(grid)
-    family = ball_family(grid, args.stride, radii)
-    params = OscillationParams(p=args.p, a=args.a, d=grid.d)
-    est = seminorm(f, params, family)
+    grid = _grid(args)
+    f = _sample(_resolve_function(args.f, grid), grid)
+    family = ball_family(grid, args.stride, _radii(args) or default_radii(grid))
+    est = seminorm(f, OscillationParams(p=args.p, a=args.a, d=grid.d), family)
     print("name,p,a,seminorm,argmax_center,argmax_radius")
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
     print(f"{args.f},{args.p:g},{args.a:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}")
@@ -432,14 +427,15 @@ def _cmd_seminorm(args) -> int:
 
 
 def _cmd_whitney(args) -> int:
-    grid = Grid(Box(tuple(args.box_lower), args.box_side, args.periodic), args.grid_n)
+    grid = _grid(args)
     phi = parse_map(args.map)
-    cx, cy, r = (float(v) for v in args.ball.split(","))
-    ball = Ball((cx, cy), r)
+    ball = _floats(args.ball, "--ball")
+    if len(ball) != 3:
+        raise SpecError(f"--ball takes cx,cy,r, got {args.ball!r}")
+    ball = Ball(tuple(ball[:2]), ball[2])
     mask = image_mask(phi, ball, grid)
     cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         stream.write("k,center_x,center_y,radius,dist_to_complement\n")
         for k, (b, ratio) in enumerate(zip(cover.balls, cover.whitney_ratios)):
             dist = 2.0 * b.radius / ratio
@@ -449,17 +445,13 @@ def _cmd_whitney(args) -> int:
         stat = covering_statistic(cover, a=args.a, p=args.p)
         stream.write(f"# covering_statistic,{stat:.10g}\n")
         stream.write(f"# uncovered_fraction,{cover.uncovered_fraction:.10g}\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def _cmd_carleson(args) -> int:
-    grid = Grid(Box(tuple(args.box_lower), args.box_side, args.periodic), args.grid_n)
+    grid = _grid(args)
     mu = corpus.builtin_density(args.density, grid)
-    radii = [float(r) for r in args.radii.split(",")] if args.radii else default_radii(grid)
-    family = ball_family(grid, args.stride, radii)
+    family = ball_family(grid, args.stride, _radii(args) or default_radii(grid))
     norm = carl.carleson_norm(mu, family)
     print(f"density={args.density} norm={norm.value:.10g} sup={mu.sup_norm:.10g}")
     if args.map:
@@ -469,45 +461,18 @@ def _cmd_carleson(args) -> int:
     return 0
 
 
-def _cmd_transport(args, perturbed: bool) -> int:
-    grid = Grid(Box(tuple(args.box_lower), args.box_side, args.periodic), args.grid_n)
-    spec = SweepSpec(
-        kind="perturbed" if perturbed else "transport",
-        functions=[args.u0],
-        grid_n=args.grid_n,
-        box_lower=tuple(args.box_lower),
-        box_side=args.box_side,
-        periodic=args.periodic,
-        stride=args.stride,
-        a=args.a,
-        p=args.p,
-        dt=args.dt,
-        times=[float(t) for t in args.times.split(",")],
-        field_name=args.field,
-        seed=args.seed,
-    )
-    rows, fits = run_sweep(spec)
-    stream, close = _open_out(args.out)
-    try:
-        write_csv(rows, stream)
-        for line in fits_summary(fits):
-            stream.write(line + "\n")
-    finally:
-        if close:
-            stream.close()
-    return 0
+def _add_sizes(p):
+    p.add_argument("--grid-n", type=int, default=128, dest="grid_n")
+    p.add_argument("--stride", type=int, default=16)
+    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--a", type=float, default=0.0)
 
 
 def _add_common(p, periodic_default=False):
-    p.add_argument("--grid-n", type=int, default=128, dest="grid_n")
-    p.add_argument("--stride", type=int, default=16)
+    _add_sizes(p)
     p.add_argument("--box-side", type=float, default=2.0, dest="box_side")
-    p.add_argument(
-        "--box-lower", type=float, nargs=2, default=[-1.0, -1.0], dest="box_lower"
-    )
+    p.add_argument("--box-lower", type=float, nargs=2, default=[-1.0, -1.0], dest="box_lower")
     p.add_argument("--periodic", action="store_true", default=periodic_default)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--radii", type=str, default="")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default="-")
@@ -520,61 +485,48 @@ def main(argv=None) -> int:
     p = sub.add_parser("seminorm", help="oscillation seminorm of a builtin or file")
     p.add_argument("--f", required=True)
     _add_common(p)
+    p.set_defaults(run=_cmd_seminorm)
 
     p = sub.add_parser("whitney", help="whitney cover of a mapped ball")
     p.add_argument("--map", required=True)
     p.add_argument("--ball", required=True, help="cx,cy,r")
     _add_common(p)
+    p.set_defaults(run=_cmd_whitney)
 
     p = sub.add_parser("carleson", help="carleson norm and pull-back")
     p.add_argument("--density", default="strip")
     p.add_argument("--map", default="")
     _add_common(p)
+    p.set_defaults(run=_cmd_carleson)
 
-    p = sub.add_parser("transport", help="transport growth sweep")
-    p.add_argument("--field", default="strain")
-    p.add_argument("--u0", default="log")
-    p.add_argument("--dt", type=float, default=0.02)
-    p.add_argument("--times", default="0,0.5,1,1.5,2")
-    _add_common(p)
-
-    p = sub.add_parser("perturbed", help="riesz-perturbed transport sweep")
-    p.add_argument("--field", default="cellular")
-    p.add_argument("--u0", default="trig")
-    p.add_argument("--dt", type=float, default=0.02)
-    p.add_argument("--times", default="0,0.5,1,1.5,2")
-    _add_common(p, periodic_default=True)
+    for name, help_, field_, u0, periodic in (
+        ("transport", "transport growth sweep", "strain", "log", False),
+        ("perturbed", "riesz-perturbed transport sweep", "cellular", "trig", True),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--field", default=field_)
+        p.add_argument("--u0", default=u0)
+        p.add_argument("--dt", type=float, default=0.02)
+        p.add_argument("--times", default="0,0.5,1,1.5,2")
+        _add_common(p, periodic_default=periodic)
+        p.set_defaults(run=_cmd_transport)
 
     p = sub.add_parser("sweep", help="run a sweep spec file")
     p.add_argument("--spec", default="")
     p.add_argument("--kind", default="bmo-composition")
     p.add_argument("--maps", default="")
     p.add_argument("--functions", default="log")
-    p.add_argument("--grid-n", type=int, default=128, dest="grid_n")
-    p.add_argument("--stride", type=int, default=16)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--p", type=float, default=1.0)
+    _add_sizes(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, default="")
+    p.set_defaults(run=_cmd_sweep)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "seminorm":
-            return _cmd_seminorm(args)
-        if args.command == "whitney":
-            return _cmd_whitney(args)
-        if args.command == "carleson":
-            return _cmd_carleson(args)
-        if args.command == "transport":
-            return _cmd_transport(args, perturbed=False)
-        if args.command == "perturbed":
-            return _cmd_transport(args, perturbed=True)
+        return args.run(args)
     except OscillabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadGrid, BadRadius, DegenerateMask, EmptyBall
+from .errors import BadGrid, BadParameter, BadRadius, DegenerateMask, EmptyBall
 
 # volume of the unit ball in d dimensions, d = 1, 2, 3
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -115,7 +115,7 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+            raise BadParameter(f"ball radius must be positive, got {self.radius:g}")
 
     @property
     def d(self) -> int:
@@ -269,7 +269,7 @@ def ball_family(grid: Grid, centers_stride: int, radii) -> list:
     On non-periodic boxes, balls not fully inside the window are dropped.
     """
     if centers_stride < 1:
-        raise ValueError("stride must be at least 1")
+        raise BadParameter(f"stride must be at least 1, got {centers_stride}")
     h = grid.h
     radii = [float(r) for r in radii]
     for r in radii:

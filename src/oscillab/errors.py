@@ -9,6 +9,10 @@ class BadGrid(OscillabError, ValueError):
     """Box or grid geometry is invalid (side, dimension or cell count)."""
 
 
+class BadParameter(OscillabError, ValueError):
+    """A numerical parameter is out of range (p, a, stride, radius, output times)."""
+
+
 class UnknownName(OscillabError):
     """No builtin function or density has the requested name."""
 

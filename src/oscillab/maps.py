@@ -283,34 +283,19 @@ def _rk4(fn, x: np.ndarray, t_total: float, step: float) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class FlowMap(BiLipMap):
-    """Time-t flow of a divergence-free field, realized as a BiLipMap.
-
-    The inverse integrates the negated field; both directions share the step.
-    """
-
-    field_: VectorField | None = None
-    time: float = 0.0
-    step: float = 0.01
-
-
-def integrate_flow(v: VectorField, t: float, step: float) -> FlowMap:
-    """Flow of v for time t; inverse is the flow of -v."""
+def integrate_flow(v: VectorField, t: float, step: float) -> BiLipMap:
+    """Time-t flow of v by RK4; the inverse integrates -v with the same step."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if step * v.lip > 0.5:
         raise StepTooLarge(f"step {step} times Lip {v.lip} exceeds 0.5")
     lip = math.exp(v.lip * t)  # Gronwall envelope for either direction
-    return FlowMap(
+    return BiLipMap(
         name=f"flow({v.name},t={t:g})",
         forward_fn=lambda x: _rk4(v, x, t, step),
         inverse_fn=lambda x: _rk4(lambda y: -v(y), x, t, step),
         lip_forward=lip,
         lip_inverse=lip,
-        field_=v,
-        time=t,
-        step=step,
     )
 
 

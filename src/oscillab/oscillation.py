@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Ball, Grid, GridFunction, ball_average, ball_oscillation, interpolate
-from .errors import DomainError, OutOfDomain, ZeroSeminorm
+from .errors import BadParameter, DomainError, OutOfDomain, ZeroSeminorm
 from .maps import BiLipMap
 
 
@@ -29,9 +29,9 @@ class OscillationParams:
 
     def __post_init__(self):
         if not (1 <= self.p < math.inf):
-            raise ValueError("p must be finite and at least 1")
+            raise BadParameter(f"p must be finite and at least 1, got {self.p:g}")
         if not (0.0 <= self.a <= 1.0):
-            raise ValueError("a must lie in [0, 1]")
+            raise BadParameter(f"a must lie in [0, 1], got {self.a:g}")
 
 
 @dataclass(frozen=True)

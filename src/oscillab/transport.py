@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Grid, GridFunction, interpolate
-from .errors import NonPeriodic, OutOfDomain, StepTooLarge
+from .errors import BadParameter, NonPeriodic, OutOfDomain, StepTooLarge
 from .maps import VectorField, _rk4
 from .oscillation import OscillationParams, seminorm
 from .fits import GrowthReport, rms_relative
@@ -174,10 +174,10 @@ def solve_perturbed(
     centers = grid.cell_centers()
     nsteps = int(round(t_end / dt))
     if abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):
-        raise ValueError("t_end must be a multiple of dt")
+        raise BadParameter(f"t_end {t_end:g} must be a multiple of dt {dt:g}")
     for t in times:
         if abs(round(t / dt) * dt - t) > 1e-9 * max(1.0, t_end):
-            raise ValueError("output times must be multiples of dt")
+            raise BadParameter(f"output time {t:g} must be a multiple of dt {dt:g}")
     want = set(int(round(t / dt)) for t in times)
 
     field = omega0.values.reshape(n, n).copy()

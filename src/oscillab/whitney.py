@@ -73,10 +73,6 @@ class WhitneyCover:
     def radii(self) -> np.ndarray:
         return np.array([b.radius for b in self.balls])
 
-    @property
-    def total_ball_area(self) -> float:
-        return float(sum(b.volume for b in self.balls))
-
 
 def _subdivide(bits2d, dist2d, grid, i0, j0, m, out):
     """Recursive stopping-time scan; appends (i0, j0, m) accepted cubes."""
@@ -214,9 +210,6 @@ class ShellHistogram:
     masses: list
     covered_mass_fraction: float
     decay_constant: float | None
-
-    def total_mass(self) -> float:
-        return float(sum(self.masses))
 
 
 def shell_histogram(cover: WhitneyCover, k_phi: float | None = None) -> ShellHistogram:

@@ -1,12 +1,16 @@
 """Sweep specs, map grammar, CSV output, determinism, CLI errors."""
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.cli import (
+    MAP_BUILDERS,
     SweepSpec,
     _resolve_function,
     default_radii,
@@ -29,6 +33,38 @@ def test_parse_map_zoo():
     assert parse_map("translation:dx=0.25,dy=0.5").K == 2.0
     twist = parse_map("twist:alpha=2")
     assert twist.K > 2.0
+
+
+# in-range draws for every key of every MAP_BUILDERS entry
+MAP_PARAM_RANGES = {
+    "identity": {},
+    "shear": {"lambda": st.floats(-6.0, 6.0)},
+    "strain": {"t": st.floats(-2.0, 2.0)},
+    "twist": {"alpha": st.floats(-6.0, 6.0)},
+    "rotation": {"angle": st.floats(-7.0, 7.0)},
+    "translation": {"dx": st.floats(-1.0, 1.0), "dy": st.floats(-1.0, 1.0)},
+    "stretch": {"factor": st.floats(0.25, 4.0)},
+    "flow": {
+        "psi": st.sampled_from(["sin", "strain"]),
+        "t": st.floats(0.0, 1.0),
+        "step": st.floats(0.002, 0.02),
+        "amp": st.floats(0.0, 1.0 / (2 * math.pi) ** 2),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_BUILDERS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_map_table_property(name, data, seed):
+    ranges = MAP_PARAM_RANGES[name]
+    assert set(ranges) == set(MAP_BUILDERS[name][1])
+    kv = {key: data.draw(strategy, label=key) for key, strategy in ranges.items()}
+    spec = name + (":" + ",".join(f"{k}={v}" for k, v in kv.items()) if kv else "")
+    phi = parse_map(spec)
+    assert phi.K >= 2.0
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (16, 2))
+    np.testing.assert_allclose(phi.inverse(phi.forward(x)), x, rtol=0, atol=1e-6)
 
 
 def test_parse_map_errors():
@@ -125,6 +161,31 @@ def test_transport_rows_in_numeric_time_order(capsys):
     assert [ln.split(",")[0] for ln in lines[1:5]] == ["0", "5", "10", "20"]
 
 
+@pytest.mark.parametrize("command", ["transport", "perturbed"])
+def test_series_ratio_is_relative_to_t0(command, capsys):
+    # output times out of order: the base is still the t = 0 profile
+    argv = [command, "--grid-n", "32", "--stride", "16", "--dt", "0.1", "--times", "1,0,0.5"]
+    assert main(argv) == 0
+    rows = {r["t"]: r for r in csv.DictReader(capsys.readouterr().out.splitlines())}
+    assert rows["0"]["ratio"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["whitney", "--map", "shear:lamda=4", "--ball", "0,0,0.25"], "lamda"),
+        (["transport", "--field", "strain:junk"], "junk"),
+        (["transport", "--field", "constant:vz=1"], "vz"),
+        (["transport", "--radii", "0.05"], "0.05"),
+        (["perturbed", "--a", "0.5"], "a=0.5"),
+    ],
+)
+def test_user_input_is_not_dropped(argv, named, capsys):
+    assert main(argv + ["--grid-n", "32"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def test_function_kwargs_parse_as_numbers():
     g = Grid(Box((-1.0, -1.0), 2.0), 32)
     fn = _resolve_function("log:clamp=1e-3", g)
@@ -166,7 +227,9 @@ def test_main_sweep_writes_file(tmp_path, monkeypatch):
     assert text.startswith("map,params,function")
 
 
-def test_main_bad_map_is_clean_error(capsys):
+def test_main_bad_map_is_clean_error(capsys, tmp_path):
+    bad_spec = tmp_path / "bad.txt"
+    bad_spec.write_text("kind=covering\ngrid_n=abc\n")
     bad_inputs = [
         ["whitney", "--map", "wormhole", "--ball", "0,0,0.2"],
         ["seminorm", "--f", "wormhole", "--grid-n", "32"],
@@ -176,6 +239,16 @@ def test_main_bad_map_is_clean_error(capsys):
         # equal K (shear and twist at 2) gives the growth fit a repeated x
         ["sweep", "--kind", "covering", "--grid-n", "32",
          "--maps", "shear:lambda=2;twist:alpha=2;strain:t=0.5;strain:t=1"],
+        ["transport", "--field", "cellular:amp=x", "--grid-n", "32"],
+        ["transport", "--times", "0,a", "--grid-n", "32"],
+        ["seminorm", "--f", "log", "--radii", "0.1,x", "--grid-n", "32"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0", "--grid-n", "32"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,0", "--grid-n", "32"],
+        ["sweep", "--spec", str(bad_spec)],
+        ["seminorm", "--f", "log", "--grid-n", "32", "--stride", "0"],
+        ["seminorm", "--f", "log", "--grid-n", "32", "--p", "0.5"],
+        ["seminorm", "--f", "log", "--grid-n", "32", "--a", "2"],
+        ["perturbed", "--dt", "0.03", "--times", "0,0.1", "--grid-n", "32"],
     ]
     for argv in bad_inputs:
         assert main(argv) == 2, argv
