@@ -4,6 +4,7 @@ and transport equations."""
 
 from .domain import (
     Ball,
+    BallFamily,
     Box,
     DistanceField,
     Grid,
@@ -26,6 +27,7 @@ from .oscillation import OscillationParams, compose, composition_ratio, rho, sem
 
 __all__ = [
     "Ball",
+    "BallFamily",
     "Box",
     "BiLipMap",
     "DistanceField",

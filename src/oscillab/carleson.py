@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, Grid, GridFunction, cells_in_ball, interpolate
+from .domain import Ball, BallFamily, Grid, GridFunction, cells_in_ball, interpolate
 from .errors import HeightExceeded, NonPeriodic, OutOfDomain
 from .maps import BiLipMap
 
@@ -114,12 +114,22 @@ def box_mass(mu: CarlesonDensity, box: CarlesonBox) -> float:
 
 def carleson_norm(mu: CarlesonDensity, family) -> CarlesonNorm:
     """Sup over the family of box mass over base ball volume."""
-    best, best_ball = -1.0, None
-    for ball in family:
-        val = box_mass(mu, CarlesonBox(ball)) / ball.volume
-        if val > best:
-            best, best_ball = val, ball
-    return CarlesonNorm(best, len(family), best_ball)
+    family = BallFamily.on(mu.grid, family)
+    cell_vol = mu.grid.cell_volume
+
+    def rows(ball: Ball, idx: np.ndarray) -> np.ndarray:
+        r = ball.radius
+        if r > mu.T * (1.0 + 1e-12):
+            raise HeightExceeded(f"box height {r} exceeds density height {mu.T}")
+        mass = np.zeros(len(idx))
+        for j, t in enumerate(mu.t_levels):
+            if t <= r * (1.0 + 1e-12):
+                beta = mu.values[j][idx]
+                mass += np.square(beta, out=beta).sum(axis=1) * cell_vol * LOG2
+        return mass / ball.volume
+
+    value, ball = family.sup(rows)
+    return CarlesonNorm(value, len(family), ball)
 
 
 def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:

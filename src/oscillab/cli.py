@@ -3,8 +3,8 @@
 Maps, vector fields and builtin functions share one grammar,
 ``name:key=value,key=value`` — e.g. ``shear:lambda=4``, ``strain:t=2``,
 ``flow:psi=sin,t=1,step=0.01``, ``cellular:amp=0.02,k=2``, ``log:clamp=1e-3``.
-An unknown map or field name or key, or a value that does not parse, is a
-SpecError.
+An unknown map, field or function name or key, or a value that does not
+parse as its key's type, is a user error.
 
 Sweep specs are plain-text key=value files; identical spec plus seed
 reproduces byte-identical CSV output.
@@ -26,9 +26,9 @@ import numpy as np
 from . import carleson as carl
 from . import corpus, maps
 from .domain import Ball, Box, Grid, GridFunction, ball_family
-from .errors import OscillabError, SpecError
+from .errors import OscillabError, SpecError, UnknownName, ZeroSeminorm
 from .fits import FitResult, fit_models
-from .oscillation import OscillationParams, composition_ratio, seminorm
+from .oscillation import OscillationParams, compose, seminorm
 from .transport import (
     TransportProblem,
     perturbed_growth_comparison,
@@ -39,9 +39,10 @@ from .whitney import covering_statistic, image_mask, shell_histogram, whitney_de
 
 
 def _cast(text: str, like, what: str):
-    """``text`` converted to the type of ``like``; SpecError if it does not parse."""
+    """``text`` converted to ``like`` if it is a type, else to the type of
+    ``like``; SpecError if it does not parse."""
     try:
-        return type(like)(text)
+        return (like if isinstance(like, type) else type(like))(text)
     except ValueError:
         raise SpecError(f"bad value {text!r} for {what}") from None
 
@@ -94,18 +95,34 @@ FIELD_BUILDERS = {
 }
 
 
+# builtin function name -> {key: type}; corpus.builtin_function fills in the
+# defaults, some of which depend on the grid (the log clamp is 2h)
+FUNCTION_KEYS = {
+    "log": {"clamp": float},
+    "holder": {"a": float},
+    "sawtooth": {"k": int},
+    "trig": {"seed": int, "modes": int},
+    "bump": {"radius": float},
+    "checker": {"seed": int},
+}
+
+
+def _given(text: str, kv: dict, keys: dict, what: str) -> dict:
+    """The values in ``kv``, each cast to the type of ``keys[key]`` (a default
+    or a type); SpecError for a key not in ``keys``."""
+    unknown = sorted(set(kv) - set(keys))
+    if unknown:
+        raise SpecError(f"unknown {what} parameter {', '.join(unknown)} in {text!r}")
+    return {key: _cast(v, keys[key], f"{key} in {text!r}") for key, v in kv.items()}
+
+
 def _build(table: dict, what: str, text: str):
     name, kv = _parse_named(text)
     if name not in table:
         raise SpecError(f"unknown {what} {name!r}")
     builder, defaults = table[name]
-    unknown = sorted(set(kv) - set(defaults))
-    if unknown:
-        raise SpecError(f"unknown {what} parameter {', '.join(unknown)} in {text!r}")
-    values = [
-        _cast(kv[key], default, f"{key} in {text!r}") if key in kv else default
-        for key, default in defaults.items()
-    ]
+    given = _given(text, kv, defaults, what)
+    values = [given.get(key, default) for key, default in defaults.items()]
     try:
         return builder(*values)
     except (ArithmeticError, ValueError) as exc:
@@ -123,8 +140,9 @@ def _resolve_field(spec: str) -> maps.VectorField:
 
 def _resolve_function(spec: str, grid: Grid):
     name, kv = _parse_named(spec)
-    kwargs = {key: _cast(v, 0.0, f"{key} in {spec!r}") for key, v in kv.items()}
-    return corpus.builtin_function(name, grid, **kwargs)
+    if name not in FUNCTION_KEYS:
+        raise UnknownName(f"unknown builtin function {name!r}")
+    return corpus.builtin_function(name, grid, **_given(spec, kv, FUNCTION_KEYS[name], "function"))
 
 
 @dataclass
@@ -239,12 +257,15 @@ def _run_composition(spec: SweepSpec, grid: Grid):
         s_in = seminorm(f, params, family).value
         for mspec in spec.maps:
             phi = parse_map(mspec)
-            composed = None
-            if not isinstance(fn, GridFunction):
+            if s_in <= 0:
+                raise ZeroSeminorm("cannot form a composition ratio for a constant")
+            if isinstance(fn, GridFunction):
+                composed = compose(f, phi)
+            else:
                 composed = GridFunction.from_callable(
                     grid, lambda x, fn=fn, phi=phi: fn(phi.forward(x))
                 )
-            ratio = composition_ratio(f, phi, params, family, composed=composed)
+            ratio = seminorm(composed, params, family).value / s_in
             k_est = maps.estimate_K(phi, seed=spec.seed, box=grid.box)
             rows.append({"map": phi.name, "params": mspec, "function": fname,
                          "K_analytic": phi.K, "K_estimated": k_est, "seminorm_in": s_in,

@@ -7,12 +7,14 @@ double-counted nodes and makes lattice translations exact relabelings.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadGrid, BadParameter, BadRadius, DegenerateMask, EmptyBall
+from .errors import BadGrid, BadParameter, BadRadius, DegenerateMask, EmptyBall, EmptyFamily
 
 # volume of the unit ball in d dimensions, d = 1, 2, 3
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -213,15 +215,20 @@ def cells_in_ball(grid: Grid, ball: Ball) -> np.ndarray:
     if any(len(idx) == 0 for idx in per_axis):
         raise EmptyBall(f"ball {ball} misses the grid")
     mesh = np.meshgrid(*per_axis, indexing="ij")
-    coords = np.stack(
-        [low[k] + (mesh[k] + 0.5) * h for k in range(d)], axis=-1
-    ).reshape(-1, d)
-    disp = grid.box.wrap_displacement(coords - center)
-    inside = np.einsum("ij,ij->i", disp, disp) <= ball.radius**2
+    inside = _inside(grid, center, ball.radius, mesh).ravel()
     if not inside.any():
         raise EmptyBall(f"no cell center inside ball {ball}")
     flat = grid.flat_index(tuple(m.ravel()[inside] for m in mesh))
     return flat
+
+
+def _inside(grid: Grid, center: np.ndarray, radius: float, cells) -> np.ndarray:
+    """Whether the cell centers lie in the ball; ``cells`` holds one integer
+    index array per axis, and ``center`` (last axis d) broadcasts against them."""
+    low = np.asarray(grid.box.lower)
+    coords = np.stack([low[k] + (cells[k] + 0.5) * grid.h for k in range(grid.d)], axis=-1)
+    disp = grid.box.wrap_displacement(coords - center)
+    return np.einsum("...j,...j->...", disp, disp) <= radius**2
 
 
 def ball_average(f: GridFunction, ball: Ball) -> float:
@@ -261,12 +268,148 @@ def distance_transform(mask: PixelMask) -> DistanceField:
     return DistanceField(grid, dist[center].ravel())
 
 
-def ball_family(grid: Grid, centers_stride: int, radii) -> list:
+# Cap on the cells of one gathered (balls x cells) index block, so the
+# working set of a reduction does not grow with the family.
+_BLOCK_CELLS = 1 << 16
+
+
+class BallFamily(Sequence):
+    """Immutable ball family compiled for one grid.
+
+    Balls that are lattice translates of each other (same radius, same
+    sub-cell center offset, the same verdict of ``cells_in_ball``'s test on
+    the cells that tie with the sphere up to rounding and, on a window, a
+    bounding box of cells inside it) form a group that stores integer center
+    cells and one stencil of cell offsets, taken from ``cells_in_ball`` on
+    the group's first ball. Any other ball is a group of its own. As a
+    sequence it holds the balls in the order they were given.
+    """
+
+    def __init__(self, grid: Grid, balls):
+        self.grid = grid
+        self._balls = tuple(balls)
+        if not self._balls:
+            raise EmptyFamily("ball family is empty")
+        n, h, d = grid.n, grid.h, grid.d
+        low = np.asarray(grid.box.lower)
+        centers = np.array([b.center for b in self._balls], dtype=float).reshape(-1, d)
+        radii = np.array([b.radius for b in self._balls])
+        u = (centers - low) / h - 0.5
+        cells = np.rint(u)
+        offset = u - cells
+        cells = cells.astype(np.intp)
+        if grid.box.periodic:
+            cells %= n
+            alone = np.zeros(len(radii), dtype=bool)
+        else:
+            # the bounding box cells_in_ball searches, unclipped
+            i_lo = np.floor((centers - radii[:, None] - low) / h - 0.5)
+            i_hi = np.ceil((centers + radii[:, None] - low) / h - 0.5)
+            alone = np.any((i_lo < 0) | (i_hi > n - 1), axis=1)
+        # offsets equal up to rounding share a key (their tie cells are
+        # checked below); a ball that is nobody's translate gets its own key
+        keys = zip(radii.tolist(), map(tuple, np.round(offset, 12).tolist()))
+        groups = {}
+        for k, key in enumerate(keys):
+            groups.setdefault(-k - 1 if alone[k] else key, []).append(k)
+        self._strides = n ** np.arange(d - 1, -1, -1)
+        self._groups = []  # (first compiled position, center cells, offsets, stencil)
+        parts = [part for members in groups.values()
+                 for part in _agreeing(grid, members, centers, cells, offset, radii)]
+        order, start = [], 0
+        for members in parts:
+            first = members[0]
+            found = cells_in_ball(grid, self._balls[first])
+            offsets = np.stack(np.unravel_index(found, (n,) * d), axis=-1) - cells[first]
+            if grid.box.periodic:
+                offsets = (offsets + n // 2) % n - n // 2  # shortest wrap
+            stencil = offsets @ self._strides
+            sort = np.argsort(stencil)
+            self._groups.append((start, cells[members], offsets[sort], stencil[sort]))
+            order += members
+            start += len(members)
+        self.order = np.array(order)
+
+    def __len__(self) -> int:
+        return len(self._balls)
+
+    def __getitem__(self, i):
+        return self._balls[i]
+
+    def blocks(self):
+        """Yield (start, stop, idx): ``idx[k]`` holds the flat cell indices of
+        the ball at compiled position ``start + k`` in ``cells_in_ball`` order.
+
+        Compiled position j is ball ``self[self.order[j]]``; one block never
+        spans two groups and holds at most about ``_BLOCK_CELLS`` cells.
+        """
+        n = self.grid.n
+        for start, cells, offsets, stencil in self._groups:
+            per = max(1, _BLOCK_CELLS // len(stencil))
+            lowest, highest = offsets.min(axis=0), offsets.max(axis=0)
+            for lo in range(0, len(cells), per):
+                block = cells[lo:lo + per]
+                idx = (block @ self._strides)[:, None] + stencil
+                if self.grid.box.periodic:
+                    wraps = np.any((block + lowest < 0) | (block + highest >= n), axis=1)
+                    if wraps.any():
+                        moved = (block[wraps, None, :] + offsets) % n
+                        idx[wraps] = np.sort(moved @ self._strides, axis=1)
+                yield start + lo, start + lo + len(block), idx
+
+    def sup(self, rows) -> tuple:
+        """Largest value over the family and the first ball (in family order)
+        that attains it; ``rows(ball, idx)`` returns the values of one block,
+        whose balls all share the radius of ``ball``."""
+        vals = np.empty(len(self))
+        for start, stop, idx in self.blocks():
+            pos = self.order[start:stop]
+            vals[pos] = rows(self._balls[pos[0]], idx)
+        k = int(np.argmax(vals))
+        return float(vals[k]), self._balls[k]
+
+    @classmethod
+    def on(cls, grid: Grid, family) -> "BallFamily":
+        """``family`` compiled for ``grid``; a family already compiled for it is reused."""
+        if isinstance(family, BallFamily) and family.grid == grid:
+            return family
+        return cls(grid, family)
+
+
+def _agreeing(grid: Grid, members: list, centers, cells, offset, radii) -> list:
+    """``members`` (balls with one radius and one sub-cell offset) split into
+    parts whose balls agree on every cell whose center lies within rounding
+    of their sphere, so that within a part membership is a translate.
+
+    Elsewhere the translate is exact up to rounding far below the margin; on
+    boxes with dyadic coordinates the tie cells agree as well.
+    """
+    if len(members) == 1:
+        return [members]
+    h, radius, delta = grid.h, float(radii[members[0]]), offset[members[0]]
+    reach = int(math.ceil(radius / h)) + 1
+    steps = np.arange(-reach, reach + 1)
+    gap = functools.reduce(np.add.outer, [((steps - c) * h) ** 2 for c in delta])
+    near = np.argwhere(np.abs(gap - radius**2) <= 1e-9 * radius**2) - reach
+    if not len(near):
+        return [members]
+    idx = cells[members][:, None, :] + near
+    if grid.box.periodic:
+        idx %= grid.n
+    parts = {}
+    inside = _inside(grid, centers[members][:, None, :], radius, np.moveaxis(idx, -1, 0))
+    for k, row in zip(members, inside):
+        parts.setdefault(row.tobytes(), []).append(k)
+    return list(parts.values())
+
+
+def ball_family(grid: Grid, centers_stride: int, radii) -> BallFamily:
     """Deterministic ball family: stride sub-grid of centers times all radii.
 
     A finite stand-in for the supremum over all balls; refining the stride
     only adds members, so any seminorm computed over it is a lower bound.
     On non-periodic boxes, balls not fully inside the window are dropped.
+    Raises EmptyFamily when no ball remains.
     """
     if centers_stride < 1:
         raise BadParameter(f"stride must be at least 1, got {centers_stride}")
@@ -284,12 +427,19 @@ def ball_family(grid: Grid, centers_stride: int, radii) -> list:
     centers = np.stack([m.ravel() for m in mesh], axis=-1)
     balls = []
     for r in radii:
-        for c in centers:
-            if not grid.box.periodic:
-                if np.any(c - low < r) or np.any(low + grid.box.side - c < r):
-                    continue
-            balls.append(Ball(tuple(c), r))
-    return balls
+        keep = centers
+        if not grid.box.periodic:
+            inside = (centers - low >= r) & (low + grid.box.side - centers >= r)
+            keep = centers[np.all(inside, axis=1)]
+        balls += [Ball(tuple(c), r) for c in keep]
+    if not radii:
+        raise EmptyFamily("ball family is empty: no radius given")
+    if not balls:
+        raise EmptyFamily(
+            f"ball family is empty: no ball of radius {', '.join(f'{r:g}' for r in radii)} "
+            f"with center stride {centers_stride} fits the grid"
+        )
+    return BallFamily(grid, balls)
 
 
 def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -21,6 +21,10 @@ class EmptyBall(OscillabError):
     """No cell center falls inside the requested ball."""
 
 
+class EmptyFamily(OscillabError, ValueError):
+    """A ball family has no ball (none of its radii fits the grid at its stride)."""
+
+
 class DegenerateMask(OscillabError):
     """Pixel mask is empty or full; no meaningful boundary exists."""
 

@@ -249,6 +249,16 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "log", "--grid-n", "32", "--p", "0.5"],
         ["seminorm", "--f", "log", "--grid-n", "32", "--a", "2"],
         ["perturbed", "--dt", "0.03", "--times", "0,0.1", "--grid-n", "32"],
+        # empty ball families: no default radius fits, no center, no room
+        ["seminorm", "--f", "log", "--grid-n", "16"],
+        ["seminorm", "--f", "log", "--grid-n", "64", "--stride", "1000"],
+        ["seminorm", "--f", "log", "--grid-n", "64", "--radii", "0.9"],
+        ["carleson", "--grid-n", "16"],
+        ["sweep", "--kind", "carleson", "--grid-n", "16", "--maps", "strain:t=1"],
+        # builtin function keys: unknown, not an int, not a number
+        ["seminorm", "--f", "log:junk=1", "--grid-n", "32"],
+        ["seminorm", "--f", "trig:seed=2.7", "--grid-n", "32"],
+        ["seminorm", "--f", "log:center=0.1", "--grid-n", "32"],
     ]
     for argv in bad_inputs:
         assert main(argv) == 2, argv

@@ -7,6 +7,7 @@ import pytest
 
 from oscillab.domain import (
     Ball,
+    BallFamily,
     Box,
     Grid,
     GridFunction,
@@ -18,7 +19,7 @@ from oscillab.domain import (
     distance_transform,
     interpolate,
 )
-from oscillab.errors import BadRadius, DegenerateMask, EmptyBall
+from oscillab.errors import BadRadius, DegenerateMask, EmptyBall, EmptyFamily
 
 
 WINDOW = Box((-1.0, -1.0), 2.0, periodic=False)
@@ -117,6 +118,35 @@ def test_ball_family_filters_and_validates():
         ball_family(g, 8, [g.h])  # below the 4-cell floor
     with pytest.raises(BadRadius):
         ball_family(g, 8, [g.box.side])  # above half the box
+
+
+def test_ball_family_empty_is_an_error():
+    g = Grid(WINDOW, 64)
+    with pytest.raises(EmptyFamily):
+        ball_family(g, 1000, [8 * g.h])  # no center on the stride sub-grid
+    with pytest.raises(EmptyFamily):
+        ball_family(g, 16, [0.9])  # no center far enough from the edge
+    with pytest.raises(EmptyFamily):
+        ball_family(g, 16, [])
+    with pytest.raises(EmptyFamily):
+        BallFamily(g, [])
+
+
+@pytest.mark.parametrize("box, n, stride", [
+    (WINDOW, 256, 8), (WINDOW, 512, 16), (Box((0.0, 0.0), 1.0, periodic=True), 256, 16),
+])
+def test_translated_stencils_equal_cells_in_ball(box, n, stride):
+    # the benchmark families: every ball's gathered row is its cells_in_ball
+    g = Grid(box, n)
+    radii = [8 * g.h * 2**k for k in range(int(math.log2(n / 32)) + 1)]
+    fam = ball_family(g, stride, radii)
+    assert len(fam._groups) == len(radii)  # one stencil per radius
+    seen = 0
+    for start, stop, idx in fam.blocks():
+        for k, row in zip(fam.order[start:stop], idx):
+            assert np.array_equal(row, cells_in_ball(g, fam[k]))
+            seen += 1
+    assert seen == len(fam)
 
 
 def test_ball_family_periodic_keeps_boundary_centers():

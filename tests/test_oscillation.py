@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from oscillab.domain import Ball, Box, Grid, GridFunction, ball_family
-from oscillab.errors import DomainError, OutOfDomain, ZeroSeminorm
+from oscillab.carleson import CarlesonBox, CarlesonDensity, box_mass, carleson_norm
+from oscillab.domain import Ball, Box, Grid, GridFunction, ball_family, ball_oscillation
+from oscillab.errors import DomainError, EmptyFamily, OutOfDomain, ZeroSeminorm
 from oscillab.corpus import builtin_function, log_singularity
 from oscillab.maps import make_linear_strain, make_rotation, make_translation
 from oscillab.oscillation import (
@@ -165,3 +168,103 @@ def test_john_nirenberg_comparable():
     for name in ("log", "trig", "sawtooth"):
         ratio = john_nirenberg_ratio(_grid_fn(name, g), fam)
         assert 1.0 <= ratio <= 3.0
+
+
+def _first_max(values):
+    """Index of the first largest value, as a strict ``>`` scan finds it."""
+    best = 0
+    for k, v in enumerate(values):
+        if v > values[best]:
+            best = k
+    return best
+
+
+def _assert_engine_matches_loop(f, mu, params, family):
+    """seminorm and carleson_norm over ``family`` equal per-ball loops of the
+    primitives bit for bit, in value and in argmax ball."""
+    osc = [ball_oscillation(f, b, params.p) / b.volume ** (params.a / params.d)
+           for b in family]
+    est = seminorm(f, params, family)
+    k = _first_max(osc)
+    assert (est.value, est.argmax_ball) == (osc[k], family[k])
+    mass = [box_mass(mu, CarlesonBox(b)) / b.volume for b in family]
+    norm = carleson_norm(mu, family)
+    k = _first_max(mass)
+    assert (norm.value, norm.argmax_ball) == (mass[k], family[k])
+
+
+def _random_inputs(g, seed, pattern):
+    rng = np.random.default_rng(seed)
+    if pattern == "checker":  # many tied oscillations exercise the argmax order
+        idx = np.indices((g.n, g.n)).sum(axis=0).ravel()
+        vals = np.where(idx % 2 == 0, 1.0, -1.0)
+    else:
+        vals = rng.normal(size=g.size)
+    shells = rng.normal(size=(4, g.size)) * (rng.random((4, g.size)) < 0.3)
+    mu = CarlesonDensity(g, g.box.side / 2.0, shells, "zero")
+    return GridFunction(g, vals), mu
+
+
+@settings(max_examples=25)
+@given(
+    n=st.sampled_from([8, 16, 32, 64]),
+    periodic=st.booleans(),
+    # None: the default box; else a box whose cell centers round
+    box=st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.5, 4.0)),
+    stride=st.integers(1, 16),
+    fracs=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                   min_size=1, max_size=3),
+    p=st.floats(1.0, 3.0),
+    a=st.floats(0.0, 1.0),
+    pattern=st.sampled_from(["normal", "checker"]),
+    seed=st.integers(0, 2**16),
+)
+def test_compiled_family_matches_per_ball_loop(n, periodic, box, stride, fracs, p, a, pattern,
+                                               seed):
+    if box is None:
+        box = TORUS if periodic else WINDOW
+    else:
+        box = Box(box[:2], box[2], periodic)
+    g = Grid(box, n)
+    radii = [4 * g.h + t * (g.box.side / 2 - 4 * g.h) for t in fracs]
+    try:
+        fam = ball_family(g, stride, radii)
+    except EmptyFamily:
+        reject()
+    f, mu = _random_inputs(g, seed, pattern)
+    _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a, d=2), fam)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_rounded_cell_centers_match_per_ball_loop(periodic):
+    # cell centers and ball centers round on this box, and cells at exactly
+    # r = 8h, 16h along an axis tie with the sphere: translates whose tie
+    # cells round differently must not share a stencil
+    g = Grid(Box((0.1, 0.3), 1.7, periodic), 64)
+    fam = ball_family(g, 2, [8 * g.h, 16 * g.h])
+    f, mu = _random_inputs(g, 1, "normal")
+    _assert_engine_matches_loop(f, mu, OscillationParams(p=1.5, a=0.5, d=2), fam)
+
+
+@settings(max_examples=40)
+@given(
+    periodic=st.booleans(),
+    loose=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=12),
+    lattice=st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31), st.sampled_from([4, 6.5])),
+                     max_size=12),
+    p=st.floats(1.0, 3.0),
+    a=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_plain_list_matches_per_ball_loop(periodic, loose, lattice, p, a, seed):
+    # balls anywhere in the box (off the lattice, across the window edge),
+    # mixed with lattice balls of shared radii that compile to translates
+    g = Grid(TORUS if periodic else WINDOW, 32)
+    low, side, h = g.box.lower[0], g.box.side, g.h
+    balls = [Ball((low + x * side, low + y * side), h + r * (side / 2 - h)) for x, y, r in loose]
+    balls += [Ball((low + (i + 0.5) * h, low + (j + 0.5) * h), r * h) for i, j, r in lattice]
+    order = np.random.default_rng(seed).permutation(len(balls))
+    f, mu = _random_inputs(g, seed, "normal")
+    _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a, d=2),
+                                [balls[k] for k in order])
