@@ -23,7 +23,7 @@ from .maps import (
     make_linear_strain,
     make_shear,
 )
-from .oscillation import OscillationParams, compose, composition_ratio, rho, seminorm
+from .oscillation import OscillationParams, compose, rho, seminorm
 
 __all__ = [
     "Ball",
@@ -40,7 +40,6 @@ __all__ = [
     "ball_family",
     "ball_oscillation",
     "compose",
-    "composition_ratio",
     "distance_transform",
     "estimate_K",
     "integrate_flow",

@@ -406,8 +406,9 @@ def _agreeing(grid: Grid, members: list, centers, cells, offset, radii) -> list:
 def ball_family(grid: Grid, centers_stride: int, radii) -> BallFamily:
     """Deterministic ball family: stride sub-grid of centers times all radii.
 
-    A finite stand-in for the supremum over all balls; refining the stride
-    only adds members, so any seminorm computed over it is a lower bound.
+    A finite stand-in for the supremum over all balls, so any seminorm
+    computed over it is a lower bound. Centers sit at cells
+    ``stride // 2 + k * stride``.
     On non-periodic boxes, balls not fully inside the window are dropped.
     Raises EmptyFamily when no ball remains.
     """

@@ -115,26 +115,3 @@ def fit_models(points, eps_max: float = 2.0, models=("log", "power", "affine", "
     if "exp" in models:
         out["exp"] = _fit_exp(x, y, len(x))
     return out
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """A sweep record: abscissas, measured ratios, and competing fits."""
-
-    xs: tuple
-    ys: tuple
-    fits: dict
-    label: str = ""
-
-    @classmethod
-    def from_points(cls, points, label="", eps_max=2.0, models=("log", "power", "affine", "exp")):
-        pts = [(float(x), float(y)) for x, y in points]
-        return cls(
-            tuple(p[0] for p in pts),
-            tuple(p[1] for p in pts),
-            fit_models(pts, eps_max=eps_max, models=models),
-            label,
-        )
-
-    def best(self) -> FitResult:
-        return min(self.fits.values(), key=lambda f: f.residual)

@@ -92,8 +92,8 @@ def compose(f, phi: BiLipMap, out_grid: Grid | None = None) -> GridFunction:
         if not f.grid.box.periodic:
             inside = f.grid.box.contains(pts)
             if not inside.all():
-                bad = pts[~inside][0]
-                raise OutOfDomain(f"mapped point {tuple(bad)} leaves the window")
+                bad = ", ".join(f"{x:g}" for x in pts[~inside][0])
+                raise OutOfDomain(f"mapped point ({bad}) leaves the window")
         vals = interpolate(f.grid, f.values, pts)
     else:
         vals = np.asarray(f(pts), dtype=float)
@@ -122,26 +122,6 @@ def check_average_shift(
     shift = abs(ball_average(f, ball) - ball_average(f, big))
     gauge = rho(params.a, 2.0 * lam) * ball.volume ** (params.a / params.d)
     return shift / (gauge * seminorm_value)
-
-
-def composition_ratio(
-    f: GridFunction,
-    phi: BiLipMap,
-    params: OscillationParams,
-    family,
-    composed: GridFunction | None = None,
-) -> float:
-    """seminorm(f o phi) / seminorm(f) over one fixed ball family.
-
-    ``composed`` overrides the interpolated composition with an analytically
-    sampled one (used when the map image leaves the window where f is
-    gridded but the function itself has a closed form).
-    """
-    base = seminorm(f, params, family).value
-    if base <= 0:
-        raise ZeroSeminorm("cannot form a composition ratio for a constant")
-    g = composed if composed is not None else compose(f, phi)
-    return seminorm(g, params, family).value / base
 
 
 def john_nirenberg_ratio(f: GridFunction, family) -> float:

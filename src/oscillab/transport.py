@@ -15,8 +15,7 @@ import numpy as np
 from .domain import Grid, GridFunction, interpolate
 from .errors import BadParameter, NonPeriodic, OutOfDomain, StepTooLarge
 from .maps import VectorField, _rk4
-from .oscillation import OscillationParams, seminorm
-from .fits import GrowthReport, rms_relative
+from .fits import rms_relative
 
 
 @dataclass(frozen=True)
@@ -61,24 +60,6 @@ def solve_transport(prob: TransportProblem, times) -> list:
             vals = _evaluate_initial(prob.u0, prob.grid, feet)
         out.append(GridFunction(prob.grid, vals))
     return out
-
-
-def transport_growth_report(
-    prob: TransportProblem, params: OscillationParams, family, times
-) -> GrowthReport:
-    """Seminorm ratio against time, with affine and exponential fits.
-
-    For a = 0 the affine model is the sharp one; for a > 0 the log of the
-    ratio should grow at most like a * Lip * t.
-    """
-    sols = solve_transport(prob, times)
-    base = seminorm(sols[0], params, family).value
-    pts = [(t, seminorm(u, params, family).value / base) for t, u in zip(times, sols)]
-    return GrowthReport.from_points(
-        [(max(t, 1e-9), y) for t, y in pts],
-        label=f"transport:{prob.v.name}:a={params.a:g}",
-        models=("affine", "exp"),
-    )
 
 
 class RieszOperator:

@@ -17,10 +17,11 @@ import numpy as np
 
 from .domain import (
     Ball,
+    BallFamily,
     DistanceField,
     Grid,
     PixelMask,
-    cells_in_ball,
+    cells_in_ball,  # noqa: F401  (perfbench's tracer wraps whitney.cells_in_ball)
     distance_transform,
     interpolate,
     unit_ball_volume,
@@ -133,8 +134,9 @@ def whitney_decompose(
     balls = [Ball(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
 
     covered = np.zeros(grid.size, dtype=bool)
-    for ball in balls:
-        covered[cells_in_ball(grid, Ball(ball.center, 2.0 * ball.radius))] = True
+    doubled = [Ball(b.center, 2.0 * b.radius) for b in balls]
+    for _, _, idx in BallFamily(grid, doubled).blocks():
+        covered[idx] = True
     uncovered = float((mask.bits & ~covered).sum()) / mask.count
 
     if source_ball is None:
@@ -147,26 +149,25 @@ def whitney_decompose(
 def check_cover_invariants(cover: WhitneyCover, mask: PixelMask) -> dict:
     """Literal checks of the cover invariants; returns the measured slacks.
 
-    Keys: min_gap (smallest center distance minus radius sum, positive for
-    disjointness), uncovered_fraction, ratio_min/ratio_max, max_radius,
+    Keys: min_gap (smallest center distance, wrapped on a torus, minus
+    radius sum, positive for disjointness), uncovered_fraction, ratio_min/ratio_max, max_radius,
     containment_violations (ball cells outside the mask).
     """
     balls = cover.balls
     centers = np.array([b.center for b in balls])
     radii = cover.radii
     min_gap = math.inf
+    wrap = mask.grid.box.wrap_displacement
     if len(balls) > 1:
         # neighbor scan via sorted cells is overkill at these sizes
         for i in range(len(balls)):
-            d = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
+            d = np.linalg.norm(wrap(centers[i + 1 :] - centers[i]), axis=1)
             gap = d - (radii[i + 1 :] + radii[i])
             if len(gap):
                 min_gap = min(min_gap, float(gap.min()))
-    grid = mask.grid
     contain_bad = 0
-    for ball in balls:
-        inside = cells_in_ball(grid, ball)
-        contain_bad += int((~mask.bits[inside]).sum())
+    for _, _, idx in BallFamily(mask.grid, balls).blocks():
+        contain_bad += int((~mask.bits[idx]).sum())
     return {
         "min_gap": min_gap,
         "uncovered_fraction": cover.uncovered_fraction,

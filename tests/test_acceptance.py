@@ -2,7 +2,9 @@
 
 Each criterion pins the exact experiment configuration it was frozen with,
 so reruns are deterministic. Heavier sweeps run at 256^2 and stay within a
-couple of minutes in total.
+couple of minutes in total. The growth-law criteria (03, 04, 08, 09) read
+the rows and fits of ``cli.run_sweep``, the path the ``sweep``,
+``transport`` and ``perturbed`` commands print.
 """
 
 import math
@@ -10,12 +12,8 @@ import math
 import numpy as np
 
 from oscillab.carleson import carleson_norm, pullback, sc_class_check
-from oscillab.corpus import (
-    builtin_density,
-    builtin_function,
-    holder_cusp,
-    log_singularity,
-)
+from oscillab.cli import SweepSpec, fits_summary, run_sweep, write_csv
+from oscillab.corpus import builtin_density, builtin_function
 from oscillab.domain import (
     Ball,
     Box,
@@ -42,16 +40,12 @@ from oscillab.oscillation import (
     OscillationParams,
     check_average_shift,
     compose,
-    composition_ratio,
     seminorm,
 )
 from oscillab.transport import (
     RieszOperator,
-    TransportProblem,
     perturbed_growth_comparison,
     solve_perturbed,
-    solve_transport,
-    transport_growth_report,
 )
 from oscillab.whitney import (
     check_cover_invariants,
@@ -64,6 +58,7 @@ from oscillab.whitney import (
 WINDOW = Box((-1.0, -1.0), 2.0, periodic=False)
 TORUS = Box((0.0, 0.0), 1.0, periodic=True)
 STRAIN_TS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+STRAIN_MAPS = [f"strain:t={t:g}" for t in STRAIN_TS]
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):
@@ -95,10 +90,10 @@ def test_criterion_01_isometry_exactness():
     worst_ratio = 0.0
     for name in ("log", "sawtooth", "trig", "holder", "bump", "checker"):
         f = _grid_fn(name, g)
+        base = seminorm(f, params, fam).value
         for phi in isometries:
-            worst_ratio = max(
-                worst_ratio, abs(composition_ratio(f, phi, params, fam) - 1.0)
-            )
+            ratio = seminorm(compose(f, phi), params, fam).value / base
+            worst_ratio = max(worst_ratio, abs(ratio - 1.0))
     worst_k = max(
         abs(estimate_K(phi, samples=1500, seed=1, box=TORUS) - 2.0)
         for phi in isometries
@@ -133,18 +128,12 @@ def test_criterion_02_covering_statistic_bounded():
 
 
 def test_criterion_03_log_growth_sharp_and_optimal():
-    g = Grid(WINDOW, 256)
-    fam = ball_family(g, 16, [8 * g.h * 2**k for k in range(4)])
-    params = OscillationParams(p=2.0, a=0.0, d=2)
-    fn = log_singularity(clamp=2 * g.h)
-    base = seminorm(GridFunction.from_callable(g, fn), params, fam).value
-    pts = []
-    for t in STRAIN_TS:
-        phi = make_linear_strain(t)
-        composed = GridFunction.from_callable(g, lambda x, p=phi: fn(p.forward(x)))
-        pts.append((phi.K, seminorm(composed, params, fam).value / base))
-    fits = fit_models(pts)
-    log_fit, power_fit = fits["log"], fits["power"]
+    # the default radius ladder at n = 256 is 8h * 2^k, k < 4
+    _, fits = run_sweep(SweepSpec(
+        kind="bmo-composition", maps=STRAIN_MAPS, functions=["log"],
+        grid_n=256, stride=16, p=2.0,
+    ))
+    log_fit, power_fit = fits["log"]["log"], fits["log"]["power"]
     ok = (
         log_fit.residual <= 0.15
         and log_fit.residual < power_fit.residual
@@ -159,23 +148,18 @@ def test_criterion_03_log_growth_sharp_and_optimal():
 
 
 def test_criterion_04_holder_power_law():
-    g = Grid(WINDOW, 128)
-    fam = ball_family(g, 8, [8 * g.h * 2**k for k in range(4)])
-    ts = [0.5 * k for k in range(1, 13)]
+    h = Grid(WINDOW, 128).h
     worst_c = 0.0
     separations = []
     for a in (0.25, 0.5):
-        fn = holder_cusp(a)
-        params = OscillationParams(p=2.0, a=a, d=2)
-        base = seminorm(GridFunction.from_callable(g, fn), params, fam).value
-        pts = []
-        for t in ts:
-            phi = make_linear_strain(t)
-            composed = compose(fn, phi, out_grid=g)
-            pts.append((phi.K, seminorm(composed, params, fam).value / base))
-        worst_c = max(worst_c, max(r / K**a for K, r in pts))
-        fits = fit_models(pts)
-        separations.append(fits["power"].residual < fits["log"].residual)
+        name = f"holder:a={a:g}"
+        rows, fits = run_sweep(SweepSpec(
+            kind="holder", maps=[f"strain:t={0.5 * k:g}" for k in range(1, 13)],
+            functions=[name], grid_n=128, stride=8, p=2.0, a=a,
+            radii=[8 * h * 2**k for k in range(4)],
+        ))
+        worst_c = max(worst_c, max(r["ratio"] / r["K_analytic"] ** a for r in rows))
+        separations.append(fits[name]["power"].residual < fits[name]["log"].residual)
     _verdict(
         "criterion-04 power-law growth in the Hoelder regime",
         worst_c <= 5.0 and all(separations),
@@ -270,26 +254,31 @@ def test_criterion_07_average_shift_bound():
     )
 
 
+def _transport_rows(function, a, times):
+    # the default radius ladder at n = 256 is 8h * 2^k, k < 4
+    rows, _ = run_sweep(SweepSpec(
+        kind="transport", functions=[function], field_name="strain", times=times,
+        dt=0.05, grid_n=256, stride=16, p=2.0, a=a,
+    ))
+    return rows
+
+
 def test_criterion_08_transport_growth():
     g = Grid(WINDOW, 256)
-    fam = ball_family(g, 16, [8 * g.h * 2**k for k in range(4)])
     v = strain_field()
 
-    # a = 0: affine-in-time growth model beats the exponential one
-    prob0 = TransportProblem(v, log_singularity(clamp=2 * g.h), g, 3.0, 0.05)
-    rep0 = transport_growth_report(
-        prob0, OscillationParams(2.0, 0.0, 2), fam, [0.0] + list(STRAIN_TS)
+    # a = 0: affine-in-time growth model beats the exponential one, fitted
+    # on all seven rows with t = 0 entered as 1e-9
+    rows0 = _transport_rows("log", 0.0, [0.0, *STRAIN_TS])
+    fits0 = fit_models(
+        [(max(r["t"], 1e-9), r["ratio"]) for r in rows0], models=("affine", "exp")
     )
-    affine_wins = rep0.fits["affine"].residual < rep0.fits["exp"].residual
+    affine_wins = fits0["affine"].residual < fits0["exp"].residual
 
     # a = 1/2: log-ratio slope at most 1.1 a Lip(v)
-    times = [0.5 * k for k in range(9)]
-    prob5 = TransportProblem(v, holder_cusp(0.5), g, 4.0, 0.05)
-    sols = solve_transport(prob5, times)
-    params5 = OscillationParams(2.0, 0.5, 2)
-    base = seminorm(sols[0], params5, fam).value
-    ys = np.array([seminorm(u, params5, fam).value / base for u in sols])
-    ts = np.array(times)
+    rows5 = _transport_rows("holder:a=0.5", 0.5, [0.5 * k for k in range(9)])
+    ys = np.array([r["ratio"] for r in rows5])
+    ts = np.array([r["t"] for r in rows5])
     slope = np.linalg.lstsq(
         np.vstack([np.ones_like(ts), ts]).T, np.log(ys), rcond=None
     )[0][1]
@@ -312,22 +301,20 @@ def test_criterion_08_transport_growth():
 
 
 def test_criterion_09_perturbed_transport():
-    g = Grid(TORUS, 128)
-    fam = ball_family(g, 8, [4 * g.h * 2**k for k in range(4)])
-    params = OscillationParams(2.0, 0.0, 2)
-    w0 = GridFunction.from_callable(g, builtin_function("trig", g, seed=1, modes=4))
-    base = seminorm(w0, params, fam).value
+    h = Grid(TORUS, 128).h
     runs = []
     l2_ok = True
-    times = [0.25 * k for k in range(1, 7)]
     for amp in (0.0253, 0.0506, 0.0759):
-        u = cellular_field(amp, 1)
-        sols = solve_perturbed(u, w0, 1.5, 0.0625, times)
-        for t, s in zip(times, sols):
-            runs.append((u.lip, t, seminorm(s, params, fam).value / base))
-            l2_ok &= np.linalg.norm(s.values) / np.linalg.norm(w0.values) <= math.exp(
-                1.05 * t
-            )
+        rows, _ = run_sweep(SweepSpec(
+            kind="perturbed", field_name=f"cellular:amp={amp:g},k=1",
+            functions=["trig:seed=1,modes=4"], box_lower=(0.0, 0.0), box_side=1.0,
+            periodic=True, grid_n=128, stride=8, radii=[4 * h * 2**k for k in range(4)],
+            p=2.0, dt=0.0625, times=[0.25 * k for k in range(7)],
+        ))
+        lip = cellular_field(amp, 1).lip
+        for r in rows[1:]:
+            runs.append((lip, r["t"], r["ratio"]))
+            l2_ok &= r["l2"] / rows[0]["l2"] <= math.exp(1.05 * r["t"])
     max_lt = max(l * t for l, t, _ in runs)
     cmp = perturbed_growth_comparison(runs)
     sharp_wins = cmp["sharp"]["residual"] < cmp["rough"]["residual"]
@@ -378,8 +365,6 @@ def test_criterion_10_numerical_infrastructure():
 
     # byte-identical determinism of a full sweep
     import io
-
-    from oscillab.cli import SweepSpec, fits_summary, run_sweep, write_csv
 
     spec = SweepSpec.from_dict(
         {

@@ -259,8 +259,14 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "log:junk=1", "--grid-n", "32"],
         ["seminorm", "--f", "trig:seed=2.7", "--grid-n", "32"],
         ["seminorm", "--f", "log:center=0.1", "--grid-n", "32"],
+        # a constant has no composition ratio; a mapped point leaves the window
+        ["sweep", "--maps", "strain:t=1", "--functions", "bump:radius=1e-6",
+         "--grid-n", "64", "--stride", "8"],
+        ["sweep", "--maps", "strain:t=1.3", "--functions", "checker",
+         "--grid-n", "64", "--stride", "8"],
     ]
     for argv in bad_inputs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), argv
+        assert "np.float64" not in err[0], argv

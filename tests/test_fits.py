@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscillab.errors import TooFewPoints
-from oscillab.fits import FitResult, GrowthReport, fit_models, rms_relative
+from oscillab.fits import fit_models, rms_relative
 
 
 XS = [2.0, 4.0, 8.0, 16.0, 32.0]
@@ -68,12 +68,9 @@ def test_predict_matches_model():
     assert f.predict(np.array([10.0]))[0] == pytest.approx(1.0 + 2.0 * math.log(10.0))
 
 
-def test_growth_report_best():
-    pts = [(x, 4.0 * x**0.3) for x in XS]
-    rep = GrowthReport.from_points(pts, label="demo")
-    best = rep.best()
-    assert isinstance(best, FitResult)
-    assert best.model == "power"
+def test_power_data_best_fit_is_power():
+    fits = fit_models([(x, 4.0 * x**0.3) for x in XS])
+    assert min(fits.values(), key=lambda f: f.residual).model == "power"
 
 
 def test_power_exponent_bounded_by_dimension():

@@ -8,15 +8,15 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from oscillab.carleson import CarlesonBox, CarlesonDensity, box_mass, carleson_norm
+from oscillab.cli import SweepSpec, run_sweep
 from oscillab.domain import Ball, Box, Grid, GridFunction, ball_family, ball_oscillation
 from oscillab.errors import DomainError, EmptyFamily, OutOfDomain, ZeroSeminorm
 from oscillab.corpus import builtin_function, log_singularity
-from oscillab.maps import make_linear_strain, make_rotation, make_translation
+from oscillab.maps import make_rotation, make_translation
 from oscillab.oscillation import (
     OscillationParams,
     check_average_shift,
     compose,
-    composition_ratio,
     john_nirenberg_ratio,
     rho,
     seminorm,
@@ -114,28 +114,25 @@ def test_composition_ratio_identityish():
     params = OscillationParams(p=2.0, a=0.0, d=2)
     f = _grid_fn("log", g)
     quarter = make_rotation(math.pi / 2, center=(0.5, 0.5))
-    assert abs(composition_ratio(f, quarter, params, fam) - 1.0) < 1e-6
+    ratio = seminorm(compose(f, quarter), params, fam).value / seminorm(f, params, fam).value
+    assert abs(ratio - 1.0) < 1e-6
 
 
 def test_composition_ratio_constant_raises():
-    g = Grid(TORUS, 32)
-    fam = ball_family(g, 8, [4 * g.h])
-    params = OscillationParams(p=2.0, a=0.0, d=2)
-    const = GridFunction(g, np.ones(g.size))
     with pytest.raises(ZeroSeminorm):
-        composition_ratio(const, make_rotation(0.5), params, fam)
+        run_sweep(SweepSpec(
+            kind="bmo-composition", maps=["strain:t=1"], functions=["bump:radius=1e-6"],
+            grid_n=64, stride=8, p=2.0,
+        ))
 
 
 def test_composition_ratio_strain_grows():
-    g = Grid(WINDOW, 128)
-    fam = ball_family(g, 16, [8 * g.h, 16 * g.h, 32 * g.h])
-    params = OscillationParams(p=2.0, a=0.0, d=2)
-    fn = log_singularity(clamp=2 * g.h)
-    f = GridFunction.from_callable(g, fn)
-    phi = make_linear_strain(1.5)
-    composed = GridFunction.from_callable(g, lambda x: fn(phi.forward(x)))
-    r = composition_ratio(f, phi, params, fam, composed=composed)
-    assert 1.1 < r < 3.0  # strictly grows, far below naive operator bounds
+    h = Grid(WINDOW, 128).h
+    (row,), _ = run_sweep(SweepSpec(
+        kind="bmo-composition", maps=["strain:t=1.5"], functions=["log"],
+        grid_n=128, stride=16, p=2.0, radii=[8 * h, 16 * h, 32 * h],
+    ))
+    assert 1.1 < row["ratio"] < 3.0  # strictly grows, far below naive operator bounds
 
 
 def test_average_shift_bounded_random():

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from oscillab.domain import Box, Grid, GridFunction, ball_family
+from oscillab.cli import SweepSpec, run_sweep
+from oscillab.domain import Box, Grid, GridFunction
 from oscillab.errors import NonPeriodic, StepTooLarge
 from oscillab.corpus import log_singularity, trig_poly
 from oscillab.maps import cellular_field, constant_field, strain_field
-from oscillab.oscillation import OscillationParams
 from oscillab.transport import (
     RieszOperator,
     TransportProblem,
@@ -17,7 +17,6 @@ from oscillab.transport import (
     perturbed_growth_comparison,
     solve_perturbed,
     solve_transport,
-    transport_growth_report,
 )
 
 TORUS = Box((0.0, 0.0), 1.0, periodic=True)
@@ -62,13 +61,14 @@ def test_transport_constant_along_characteristics():
 
 
 def test_growth_report_a0_affine_wins():
-    g = Grid(WINDOW, 128)
-    fam = ball_family(g, 16, [8 * g.h * 2**k for k in range(3)])
-    prob = TransportProblem(strain_field(), log_singularity(clamp=2 * g.h), g, 3.0, 0.05)
-    rep = transport_growth_report(
-        prob, OscillationParams(2.0, 0.0, 2), fam, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    )
-    assert rep.fits["affine"].residual < rep.fits["exp"].residual
+    # the transport sweep's own fit, over its rows with t > 0
+    h = Grid(WINDOW, 128).h
+    _, fits = run_sweep(SweepSpec(
+        kind="transport", functions=["log"], field_name="strain",
+        times=[0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], dt=0.05, grid_n=128, stride=16,
+        p=2.0, radii=[8 * h * 2**k for k in range(3)],
+    ))
+    assert fits["transport"]["affine"].residual < fits["transport"]["exp"].residual
 
 
 def test_riesz_multiplier_properties():
@@ -125,20 +125,6 @@ def test_perturbed_l2_spectral_bound():
     for t, s in zip(times, sols):
         ratio = np.linalg.norm(s.values) / np.linalg.norm(w0.values)
         assert ratio <= math.exp(1.05 * t)
-
-
-def test_strang_second_order_self_convergence():
-    g = Grid(TORUS, 256)
-    c = g.cell_centers()
-    w0 = GridFunction(g, np.sin(2 * np.pi * c[:, 0]) * np.cos(2 * np.pi * c[:, 1]))
-    u = cellular_field(0.0253, 1)
-    ref = solve_perturbed(u, w0, 1.0, 0.0078125, [1.0])[0].values
-    errs = []
-    for dt in (0.25, 0.125, 0.0625):
-        s = solve_perturbed(u, w0, 1.0, dt, [1.0])[0].values
-        errs.append(np.linalg.norm(s - ref) / np.linalg.norm(ref))
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert orders[0] > 1.6 and orders[1] > 1.5
 
 
 def test_perturbed_growth_comparison_recovers_sharp_model():

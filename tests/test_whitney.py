@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillab.domain import Ball, Box, Grid
+from oscillab.domain import Ball, Box, Grid, PixelMask, cells_in_ball, distance_transform
 from oscillab.errors import RadiusViolation
 from oscillab.maps import (
     compose_maps,
@@ -16,6 +16,7 @@ from oscillab.maps import (
     make_shear,
 )
 from oscillab.whitney import (
+    WhitneyCover,
     check_cover_invariants,
     covering_statistic,
     image_mask,
@@ -24,6 +25,7 @@ from oscillab.whitney import (
 )
 
 BIG = Box((-2.0, -2.0), 4.0, periodic=False)
+TORUS = Box((0.0, 0.0), 1.0, periodic=True)
 
 
 def test_image_mask_area_matches_ball():
@@ -145,3 +147,56 @@ def test_composite_map_cover():
     cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
     inv = check_cover_invariants(cover, mask)
     assert inv["min_gap"] > 0.0 and inv["containment_violations"] == 0
+
+
+def test_cover_gap_wraps_on_torus():
+    # two balls overlapping across the seam x = 0 ~ 1: centers 0.04 apart
+    g = Grid(TORUS, 64)
+    balls = [Ball((0.02, 0.5), 0.03), Ball((0.98, 0.5), 0.03)]
+    cover = WhitneyCover(balls, Ball((0.5, 0.5), 0.25), "", [1.0, 1.0], 0.0)
+    mask = PixelMask(g, np.ones(g.size, dtype=bool))
+    assert check_cover_invariants(cover, mask)["min_gap"] < 0
+
+
+def _criterion_05_masks():
+    """The 20 random (mask, source ball, map) instances of acceptance criterion 05."""
+    g = Grid(BIG, 128)
+    rng = np.random.default_rng(11)
+    for i in range(20):
+        cx, cy = rng.uniform(-0.3, 0.3, size=2)
+        ball = Ball((cx, cy), rng.uniform(0.15, 0.35))
+        kind = i % 4
+        if kind == 0:
+            phi = make_shear(rng.uniform(0.5, 3.0))
+        elif kind == 1:
+            phi = make_rotation(rng.uniform(0, 2 * math.pi), center=(cx, cy))
+        elif kind == 2:
+            phi = make_linear_strain(rng.uniform(0.2, 0.9))
+        else:
+            phi = compose_maps(
+                make_shear(rng.uniform(0.5, 2.0)), make_rotation(rng.uniform(0, 3))
+            )
+        yield image_mask(phi, ball, g), ball, phi
+
+
+def test_cover_gathers_match_per_ball_loop():
+    cases = list(_criterion_05_masks())
+    # a torus image that wraps across the seam
+    seam = Ball((0.05, 0.5), 0.2)
+    cases.append((image_mask(make_shear(1.5), seam, Grid(TORUS, 128)), seam, make_shear(1.5)))
+    violations = 0
+    for mask, ball, phi in cases:
+        g = mask.grid
+        cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
+        covered = np.zeros(g.size, dtype=bool)
+        for b in cover.balls:
+            covered[cells_in_ball(g, Ball(b.center, 2.0 * b.radius))] = True
+        assert cover.uncovered_fraction == float((mask.bits & ~covered).sum()) / mask.count
+        # checked against its own mask and against one shrunk by three cells
+        shrunk = PixelMask(g, mask.bits & (distance_transform(mask).dist > 3 * g.h))
+        for checked in (mask, shrunk):
+            bad = sum(int((~checked.bits[cells_in_ball(g, b)]).sum()) for b in cover.balls)
+            inv = check_cover_invariants(cover, checked)
+            assert inv["containment_violations"] == bad
+            violations += bad
+    assert violations > 0
