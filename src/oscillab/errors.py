@@ -68,6 +68,10 @@ class NonPeriodic(OscillabError):
     """Spectral operation requested on a non-periodic grid."""
 
 
+class NotTorusMap(OscillabError, ValueError):
+    """A map used on a periodic box does not carry period translates to period translates."""
+
+
 class TooFewPoints(OscillabError):
     """Growth-law fit needs at least 4 sample points."""
 

@@ -26,7 +26,7 @@ from .domain import (
     interpolate,
     unit_ball_volume,
 )
-from .errors import DegenerateMask, OutOfDomain, RadiusViolation
+from .errors import DegenerateMask, NotTorusMap, OutOfDomain, RadiusViolation
 from .maps import BiLipMap
 from .oscillation import rho
 
@@ -34,16 +34,41 @@ from .oscillation import rho
 # cannot touch; doubled balls still cover the cube diagonal (0.995 > 1/sqrt2)
 _BALL_SHRINK = 0.995
 
+# every _TORUS_STRIDE-th cell center is checked by _require_torus_map; a
+# prime stride spreads the sample over all rows of a power-of-two grid
+_TORUS_STRIDE = 61
+
+
+def _require_torus_map(phi: BiLipMap, grid: Grid) -> None:
+    """Raise NotTorusMap unless phi^-1(x + L e_k) - phi^-1(x) is a lattice
+    vector (to 1e-9 L) for every axis k on a strided sample of centers."""
+    side = grid.box.side
+    x = grid.cell_centers()[::_TORUS_STRIDE]
+    pre = phi.inverse(x)
+    for k in range(grid.d):
+        shifted = x.copy()
+        shifted[:, k] += side
+        q = (phi.inverse(shifted) - pre) / side
+        if not np.abs(q - np.round(q)).max() <= 1e-9:
+            raise NotTorusMap(
+                f"map {phi.name} is not a torus map: a period along axis {k} "
+                "does not map to a period"
+            )
+
 
 def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
     """Rasterize phi(B): a cell is inside iff its preimage lies in B.
 
     Membership through the inverse map leaves no rasterization holes, which
-    forward point-dumping would.
+    forward point-dumping would. On a periodic box phi must be a map of the
+    torus (NotTorusMap otherwise): membership there counts every periodic
+    copy of B.
     """
     centers = grid.cell_centers()
     pre = phi.inverse(centers)
-    if not grid.box.periodic:
+    if grid.box.periodic:
+        _require_torus_map(phi, grid)
+    else:
         # the preimage samples themselves are fine; what must stay inside the
         # window is the set we rasterize, which is a subset of the grid by
         # construction. Guard instead that the ball image could fit at all.

@@ -244,11 +244,15 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "log", "--radii", "0.1,x", "--grid-n", "32"],
         ["whitney", "--map", "strain:t=1", "--ball", "0,0", "--grid-n", "32"],
         ["whitney", "--map", "strain:t=1", "--ball", "0,0,0", "--grid-n", "32"],
+        # strain is not a map of the torus
+        ["whitney", "--periodic", "--map", "strain:t=0.5", "--ball", "0,0,0.25",
+         "--grid-n", "32"],
         ["sweep", "--spec", str(bad_spec)],
         ["seminorm", "--f", "log", "--grid-n", "32", "--stride", "0"],
         ["seminorm", "--f", "log", "--grid-n", "32", "--p", "0.5"],
         ["seminorm", "--f", "log", "--grid-n", "32", "--a", "2"],
         ["perturbed", "--dt", "0.03", "--times", "0,0.1", "--grid-n", "32"],
+        ["perturbed", "--times=-0.1,0.1", "--grid-n", "32"],
         # empty ball families: no default radius fits, no center, no room
         ["seminorm", "--f", "log", "--grid-n", "16"],
         ["seminorm", "--f", "log", "--grid-n", "64", "--stride", "1000"],

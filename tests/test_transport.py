@@ -13,6 +13,8 @@ from oscillab.maps import cellular_field, constant_field, strain_field
 from oscillab.transport import (
     RieszOperator,
     TransportProblem,
+    _advection_matrix,
+    _catmull_rom_matrix,
     apply_riesz,
     perturbed_growth_comparison,
     solve_perturbed,
@@ -114,6 +116,9 @@ def test_perturbed_time_validation():
         solve_perturbed(u, w0, 1.0, 0.3, [1.0])  # t_end not a multiple of dt
     with pytest.raises(ValueError):
         solve_perturbed(u, w0, 1.0, 0.25, [0.3])  # output time off the grid
+    for t in (1.25, -0.25):  # output time outside [0, t_end]
+        with pytest.raises(ValueError):
+            solve_perturbed(u, w0, 1.0, 0.25, [0.0, t])
 
 
 def test_perturbed_l2_spectral_bound():
@@ -137,3 +142,90 @@ def test_perturbed_growth_comparison_recovers_sharp_model():
     assert cmp["sharp"]["residual"] < 1e-5
     assert abs(cmp["sharp"]["c"] - 0.3) < 1e-4
     assert cmp["rough"]["residual"] > 0.1
+
+
+def _catmull_rom_loop(grid, field, pts):
+    """Per-point separable Catmull-Rom stencil loop on a periodic grid: the
+    reference for the rows of the compiled advection matrix."""
+    n = grid.n
+    u = (pts - np.asarray(grid.box.lower)) / grid.h - 0.5
+    i0 = np.floor(u).astype(int)
+    s = u - i0
+
+    def weights(t):
+        t2, t3 = t * t, t * t * t
+        return (
+            -0.5 * t + t2 - 0.5 * t3,
+            1.0 - 2.5 * t2 + 1.5 * t3,
+            0.5 * t + 2.0 * t2 - 1.5 * t3,
+            -0.5 * t2 + 0.5 * t3,
+        )
+
+    wx = weights(s[:, 0])
+    wy = weights(s[:, 1])
+    out = np.zeros(len(pts))
+    for a in range(4):
+        ix = np.mod(i0[:, 0] + a - 1, n)
+        for b in range(4):
+            iy = np.mod(i0[:, 1] + b - 1, n)
+            out += wx[a] * wy[b] * field[ix, iy]
+    return out
+
+
+@pytest.mark.parametrize("box", [TORUS, Box((-1.0, -1.0), 2.0, periodic=True)])
+@pytest.mark.parametrize("n", [8, 64])
+def test_catmull_rom_matrix_matches_stencil_loop(box, n):
+    g = Grid(box, n)
+    rng = np.random.default_rng(n)
+    low, side = np.asarray(box.lower), box.side
+    # random points, cell centers, and points on the seam and its edges
+    edge = np.array([0.0, 1e-17, g.h / 2, side - g.h / 2, side - 1e-15, side])
+    seam = low + np.stack(np.meshgrid(edge, edge, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = np.concatenate([low + side * rng.random((3000, 2)), g.cell_centers(), seam])
+    mat = _catmull_rom_matrix(g, pts)
+    assert mat.shape == (len(pts), g.size) and mat.nnz == 16 * len(pts)
+    for _ in range(3):
+        field = rng.normal(size=(n, n))
+        assert np.array_equal(mat @ field.ravel(), _catmull_rom_loop(g, field, pts))
+
+
+def test_merged_steps_match_unmerged_strang():
+    g = Grid(TORUS, 64)
+    w0 = GridFunction.from_callable(g, trig_poly(seed=4, modes=4))
+    u, dt, times = cellular_field(0.03, 1), 0.05, [0.0, 0.35, 1.0]
+    advect, riesz = _advection_matrix(u, g, dt), RieszOperator(g)
+    field, ref = w0.values.reshape(64, 64), {0: w0.values}
+    for k in range(1, 21):
+        field = riesz.half_step(field, dt / 2)
+        field = (advect @ field.ravel()).reshape(64, 64)
+        field = riesz.half_step(field, dt / 2)
+        ref[k] = field.ravel()
+    for t, sol in zip(times, solve_perturbed(u, w0, 1.0, dt, times)):
+        want = ref[round(t / dt)]
+        assert np.abs(sol.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_zero_field_is_pure_multiplier():
+    g = Grid(TORUS, 64)
+    w0 = GridFunction.from_callable(g, trig_poly(seed=5, modes=4))
+    m = RieszOperator(g).multiplier
+    times = [0.5, 1.0]
+    for t, sol in zip(times, solve_perturbed(cellular_field(0.0, 1), w0, 1.0, 0.1, times)):
+        spec = np.fft.fft2(w0.values.reshape(64, 64)) * np.exp(t * m)
+        want = np.real(np.fft.ifft2(spec)).ravel()
+        assert np.abs(sol.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_perturbed_snapshots_in_order_asked():
+    g = Grid(TORUS, 32)
+    w0 = GridFunction.from_callable(g, trig_poly(seed=6, modes=3))
+    u = cellular_field(0.02, 1)
+    # unsorted and duplicated times, and t_end past the last output time
+    times = [1.0, 0.5, 0.5, 0.0, 0.25]
+    sols = solve_perturbed(u, w0, 1.5, 0.05, times)
+    ordered = [0.0, 0.25, 0.5, 1.0]
+    ref = dict(zip(ordered, solve_perturbed(u, w0, 1.0, 0.05, ordered)))
+    assert len(sols) == len(times)
+    for t, sol in zip(times, sols):
+        assert np.array_equal(sol.values, ref[t].values)
+    assert np.array_equal(sols[3].values, w0.values)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oscillab.domain import Ball, Box, Grid, PixelMask, cells_in_ball, distance_transform
-from oscillab.errors import RadiusViolation
+from oscillab.errors import NotTorusMap, RadiusViolation
 from oscillab.maps import (
     compose_maps,
     make_hat_twist,
@@ -158,6 +158,24 @@ def test_cover_gap_wraps_on_torus():
     assert check_cover_invariants(cover, mask)["min_gap"] < 0
 
 
+def _sawtooth(y):
+    u = np.mod(y, 1.0)
+    return np.minimum(u, 1.0 - u)
+
+
+def test_image_mask_rejects_non_torus_map():
+    # strain does not carry the period lattice to itself: on the torus its
+    # mask used to count cells near every periodic copy of the ball
+    g = Grid(TORUS, 128)
+    ball = Ball((0.5, 0.5), 0.125)
+    with pytest.raises(NotTorusMap):
+        image_mask(make_linear_strain(0.5), ball, g)
+    # an integer shear and criterion 02's sawtooth shear are torus maps
+    for phi in (make_shear(3.0), make_shear(math.exp(1.0) - math.exp(-1.0), _sawtooth)):
+        area = image_mask(phi, ball, g).count * g.cell_volume
+        assert abs(area - ball.volume) / ball.volume < 0.03
+
+
 def _criterion_05_masks():
     """The 20 random (mask, source ball, map) instances of acceptance criterion 05."""
     g = Grid(BIG, 128)
@@ -181,9 +199,9 @@ def _criterion_05_masks():
 
 def test_cover_gathers_match_per_ball_loop():
     cases = list(_criterion_05_masks())
-    # a torus image that wraps across the seam
+    # a torus image that wraps across the seam (an integer shear is a torus map)
     seam = Ball((0.05, 0.5), 0.2)
-    cases.append((image_mask(make_shear(1.5), seam, Grid(TORUS, 128)), seam, make_shear(1.5)))
+    cases.append((image_mask(make_shear(2.0), seam, Grid(TORUS, 128)), seam, make_shear(2.0)))
     violations = 0
     for mask, ball, phi in cases:
         g = mask.grid
