@@ -342,8 +342,12 @@ class BallFamily(Sequence):
 
         Compiled position j is ball ``self[self.order[j]]``; one block never
         spans two groups and holds at most about ``_BLOCK_CELLS`` cells.
+        On a torus, a ball that crosses the seam has its cells wrapped axis
+        by axis and sorted back into ascending (``cells_in_ball``) order;
+        its wrapped stencil is a few ascending runs, which a stable sort
+        merges in close to linear time.
         """
-        n = self.grid.n
+        n, d = self.grid.n, self.grid.d
         for start, cells, offsets, stencil in self._groups:
             per = max(1, _BLOCK_CELLS // len(stencil))
             lowest, highest = offsets.min(axis=0), offsets.max(axis=0)
@@ -353,8 +357,11 @@ class BallFamily(Sequence):
                 if self.grid.box.periodic:
                     wraps = np.any((block + lowest < 0) | (block + highest >= n), axis=1)
                     if wraps.any():
-                        moved = (block[wraps, None, :] + offsets) % n
-                        idx[wraps] = np.sort(moved @ self._strides, axis=1)
+                        # Grid makes n a power of two, so & (n - 1) is the wrap % n
+                        moved, flat = block[wraps], 0
+                        for k in range(d):
+                            flat = flat * n + ((moved[:, k, None] + offsets[:, k]) & (n - 1))
+                        idx[wraps] = np.sort(flat, axis=1, kind="stable")
                 yield start + lo, start + lo + len(block), idx
 
     def sup(self, rows) -> tuple:

@@ -1,12 +1,14 @@
 """Transport by backward characteristics and the Riesz-perturbed variant.
 
-The plain transport solve follows each output cell back along the flow in
-one long integration (no step-to-step interpolation, which would diffuse
-oscillation and fake better growth than true). The perturbed equation adds
-a spectral multiplier term and is advanced by Strang splitting. Its field
-is steady and its step fixed, so the semi-Lagrangian advection step is
-built once, as one sparse Catmull-Rom matrix over the backward feet, and
-adjacent multiplier half steps are merged into one real-FFT step.
+The plain transport solve follows each output cell back along the flow and
+evaluates the initial profile at the foot. The field is steady, so the feet
+are carried from one output time to the next, but the profile is never
+interpolated from step to step, which would diffuse oscillation and fake
+better growth than true. The perturbed equation adds a spectral multiplier
+term and is advanced by Strang splitting. Its field is steady and its step
+fixed, so the semi-Lagrangian advection step is built once, as one sparse
+Catmull-Rom matrix over the backward feet, and adjacent multiplier half
+steps are merged into one real-FFT step.
 """
 
 from __future__ import annotations
@@ -50,20 +52,26 @@ def _evaluate_initial(u0, grid: Grid, pts: np.ndarray) -> np.ndarray:
 
 
 def solve_transport(prob: TransportProblem, times) -> list:
-    """Solution snapshots by one long backward integration per output time."""
-    centers = prob.grid.cell_centers()
-    out = []
+    """Solution snapshots at ``times`` (each in [0, t_end]), in the order asked.
+
+    For a steady field the backward flow composes, Phi_{-t2} =
+    Phi_{-(t2 - t1)} o Phi_{-t1}, so the RK4 feet of the cell centers are
+    carried from one output time to the next in increasing order. Feet are
+    wrapped onto the torus only to evaluate ``u0``; a t = 0 snapshot is ``u0``
+    at the cell centers.
+    """
     for t in times:
-        if t == 0:
-            vals = _evaluate_initial(prob.u0, prob.grid, centers)
-        else:
-            feet = _rk4(lambda y: -prob.v(y), centers, t, prob.step)
-            if prob.grid.box.periodic:
-                low = np.asarray(prob.grid.box.lower)
-                feet = low + np.mod(feet - low, prob.grid.box.side)
-            vals = _evaluate_initial(prob.u0, prob.grid, feet)
-        out.append(GridFunction(prob.grid, vals))
-    return out
+        if not 0 <= t <= prob.t_end:
+            raise BadParameter(f"output time {t:g} is outside [0, {prob.t_end:g}]")
+    grid = prob.grid
+    low = np.asarray(grid.box.lower)
+    feet, now, out = grid.cell_centers(), 0.0, {}
+    for t in sorted(set(times)):
+        feet = _rk4(lambda y: -prob.v(y), feet, t - now, prob.step)
+        now = t
+        at = low + np.mod(feet - low, grid.box.side) if grid.box.periodic and t > 0 else feet
+        out[t] = GridFunction(grid, _evaluate_initial(prob.u0, grid, at))
+    return [out[t] for t in times]
 
 
 class RieszOperator:

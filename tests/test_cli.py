@@ -253,6 +253,7 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "log", "--grid-n", "32", "--a", "2"],
         ["perturbed", "--dt", "0.03", "--times", "0,0.1", "--grid-n", "32"],
         ["perturbed", "--times=-0.1,0.1", "--grid-n", "32"],
+        ["transport", "--grid-n", "32", "--times=-0.1,0.1"],
         # empty ball families: no default radius fits, no center, no room
         ["seminorm", "--f", "log", "--grid-n", "16"],
         ["seminorm", "--f", "log", "--grid-n", "64", "--stride", "1000"],

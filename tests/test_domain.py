@@ -134,9 +134,14 @@ def test_ball_family_empty_is_an_error():
 
 @pytest.mark.parametrize("box, n, stride", [
     (WINDOW, 256, 8), (WINDOW, 512, 16), (Box((0.0, 0.0), 1.0, periodic=True), 256, 16),
+    # the torus wrap, axis by axis, in every supported dimension
+    (Box((0.0,), 1.0, periodic=True), 64, 4),
+    (Box((0.0, 0.0, 0.0), 1.0, periodic=True), 32, 8),
+    (Box((-0.75, 0.5), 2.5, periodic=True), 128, 8),
 ])
 def test_translated_stencils_equal_cells_in_ball(box, n, stride):
-    # the benchmark families: every ball's gathered row is its cells_in_ball
+    # the benchmark families, and tori of each dimension: every ball's
+    # gathered row is its cells_in_ball
     g = Grid(box, n)
     radii = [8 * g.h * 2**k for k in range(int(math.log2(n / 32)) + 1)]
     fam = ball_family(g, stride, radii)

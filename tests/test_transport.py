@@ -7,7 +7,7 @@ import pytest
 
 from oscillab.cli import SweepSpec, run_sweep
 from oscillab.domain import Box, Grid, GridFunction
-from oscillab.errors import NonPeriodic, StepTooLarge
+from oscillab.errors import BadParameter, NonPeriodic, StepTooLarge
 from oscillab.corpus import log_singularity, trig_poly
 from oscillab.maps import cellular_field, constant_field, strain_field
 from oscillab.transport import (
@@ -60,6 +60,41 @@ def test_transport_constant_along_characteristics():
 
     vals_along = interpolate(g, u1.values, pushed)
     assert np.abs(vals_along - fn(centers[inside])).max() < 0.05
+
+
+def test_transport_feet_carried_in_order_asked():
+    # unsorted, duplicated times; each snapshot is within tolerance of a
+    # single-time solve, which integrates from t = 0
+    g = Grid(TORUS, 64)
+    fn = trig_poly(seed=8, modes=3)
+    prob = TransportProblem(cellular_field(0.03, 1), fn, g, 1.5, 0.02)
+    times = [1.5, 0.3, 0.0, 1.5, 0.75]
+    sols = solve_transport(prob, times)
+    assert len(sols) == len(times)
+    for t, sol in zip(times, sols):
+        (alone,) = solve_transport(prob, [t])
+        assert np.abs(sol.values - alone.values).max() <= 1e-9 * np.abs(alone.values).max()
+    assert np.array_equal(sols[2].values, GridFunction.from_callable(g, fn).values)
+
+
+def test_strain_transport_matches_analytic_feet():
+    # the backward feet of v = (x, -y) are (x e^-t, y e^t)
+    g = Grid(WINDOW, 64)
+    fn = log_singularity(clamp=2 * g.h)
+    prob = TransportProblem(strain_field(), fn, g, 1.0, 0.02)
+    times = [0.4, 1.0, 0.0, 0.7]
+    centers = g.cell_centers()
+    for t, sol in zip(times, solve_transport(prob, times)):
+        feet = centers * np.array([math.exp(-t), math.exp(t)])
+        assert np.abs(sol.values - fn(feet)).max() <= 1e-8
+
+
+def test_transport_time_validation():
+    prob = TransportProblem(constant_field((0.25, 0.0)), trig_poly(seed=2), Grid(TORUS, 32),
+                            1.0, 0.05)
+    for t in (1.25, -0.1):  # output time outside [0, t_end]
+        with pytest.raises(BadParameter):
+            solve_transport(prob, [0.0, t])
 
 
 def test_growth_report_a0_affine_wins():
