@@ -19,7 +19,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,18 +95,6 @@ FIELD_BUILDERS = {
 }
 
 
-# builtin function name -> {key: type}; corpus.builtin_function fills in the
-# defaults, some of which depend on the grid (the log clamp is 2h)
-FUNCTION_KEYS = {
-    "log": {"clamp": float},
-    "holder": {"a": float},
-    "sawtooth": {"k": int},
-    "trig": {"seed": int, "modes": int},
-    "bump": {"radius": float},
-    "checker": {"seed": int},
-}
-
-
 def _given(text: str, kv: dict, keys: dict, what: str) -> dict:
     """The values in ``kv``, each cast to the type of ``keys[key]`` (a default
     or a type); SpecError for a key not in ``keys``."""
@@ -140,9 +128,10 @@ def _resolve_field(spec: str) -> maps.VectorField:
 
 def _resolve_function(spec: str, grid: Grid):
     name, kv = _parse_named(spec)
-    if name not in FUNCTION_KEYS:
+    if name not in corpus.FUNCTIONS:
         raise UnknownName(f"unknown builtin function {name!r}")
-    return corpus.builtin_function(name, grid, **_given(spec, kv, FUNCTION_KEYS[name], "function"))
+    keys = corpus.FUNCTIONS[name][1]
+    return corpus.builtin_function(name, grid, **_given(spec, kv, keys, "function"))
 
 
 @dataclass
@@ -259,13 +248,7 @@ def _run_composition(spec: SweepSpec, grid: Grid):
             phi = parse_map(mspec)
             if s_in <= 0:
                 raise ZeroSeminorm("cannot form a composition ratio for a constant")
-            if isinstance(fn, GridFunction):
-                composed = compose(f, phi)
-            else:
-                composed = GridFunction.from_callable(
-                    grid, lambda x, fn=fn, phi=phi: fn(phi.forward(x))
-                )
-            ratio = seminorm(composed, params, family).value / s_in
+            ratio = seminorm(compose(fn, phi, grid), params, family).value / s_in
             k_est = maps.estimate_K(phi, seed=spec.seed, box=grid.box)
             rows.append({"map": phi.name, "params": mspec, "function": fname,
                          "K_analytic": phi.K, "K_estimated": k_est, "seminorm_in": s_in,
@@ -401,12 +384,13 @@ def _write_rows(out: str, rows, fit_lines) -> None:
             stream.write(line + "\n")
 
 
-def _grid(args) -> Grid:
-    return Grid(Box(tuple(args.box_lower), args.box_side, args.periodic), args.grid_n)
-
-
-def _radii(args) -> list:
-    return _floats(args.radii, "--radii") if args.radii else []
+def _spec(args, **values) -> SweepSpec:
+    """The SweepSpec of a subcommand: each option whose dest is a SweepSpec
+    field sets that field (``--radii`` parsed as numbers), then ``values``."""
+    names = {f.name for f in fields(SweepSpec)}
+    given = {key: value for key, value in vars(args).items() if key in names}
+    given["radii"] = _floats(given["radii"], "--radii") if given.get("radii") else []
+    return SweepSpec(kind=args.command, **{**given, **values})
 
 
 def _cmd_sweep(args) -> int:
@@ -426,30 +410,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    spec = SweepSpec(
-        kind=args.command, functions=[args.u0], field_name=args.field,
-        times=_floats(args.times, "--times"), dt=args.dt, grid_n=args.grid_n,
-        box_lower=tuple(args.box_lower), box_side=args.box_side, periodic=args.periodic,
-        stride=args.stride, radii=_radii(args), a=args.a, p=args.p, seed=args.seed,
-    )
+    spec = _spec(args, functions=[args.u0], times=_floats(args.times, "--times"))
     rows, fits = run_sweep(spec)
-    _write_rows(args.out, rows, fits_summary(fits))
+    _write_rows(spec.out, rows, fits_summary(fits))
     return 0
 
 
 def _cmd_seminorm(args) -> int:
-    grid = _grid(args)
+    spec = _spec(args)
+    grid = spec.grid()
     f = _sample(_resolve_function(args.f, grid), grid)
-    family = ball_family(grid, args.stride, _radii(args) or default_radii(grid))
-    est = seminorm(f, OscillationParams(p=args.p, a=args.a, d=grid.d), family)
+    est = seminorm(f, OscillationParams(p=spec.p, a=spec.a, d=grid.d), spec.family(grid))
     print("name,p,a,seminorm,argmax_center,argmax_radius")
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
-    print(f"{args.f},{args.p:g},{args.a:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}")
+    print(f"{args.f},{spec.p:g},{spec.a:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}")
     return 0
 
 
 def _cmd_whitney(args) -> int:
-    grid = _grid(args)
+    spec = _spec(args)
+    grid = spec.grid()
     phi = parse_map(args.map)
     ball = _floats(args.ball, "--ball")
     if len(ball) != 3:
@@ -457,25 +437,26 @@ def _cmd_whitney(args) -> int:
     ball = Ball(tuple(ball[:2]), ball[2])
     mask = image_mask(phi, ball, grid)
     cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
-    with _output(args.out) as stream:
+    with _output(spec.out) as stream:
         stream.write("k,center_x,center_y,radius,dist_to_complement\n")
         for k, (b, ratio) in enumerate(zip(cover.balls, cover.whitney_ratios)):
             dist = 2.0 * b.radius / ratio
             stream.write(
                 f"{k},{b.center[0]:.10g},{b.center[1]:.10g},{b.radius:.10g},{dist:.10g}\n"
             )
-        stat = covering_statistic(cover, a=args.a, p=args.p)
+        stat = covering_statistic(cover, a=spec.a, p=spec.p)
         stream.write(f"# covering_statistic,{stat:.10g}\n")
         stream.write(f"# uncovered_fraction,{cover.uncovered_fraction:.10g}\n")
     return 0
 
 
 def _cmd_carleson(args) -> int:
-    grid = _grid(args)
-    mu = corpus.builtin_density(args.density, grid)
-    family = ball_family(grid, args.stride, _radii(args) or default_radii(grid))
+    spec = _spec(args)
+    grid = spec.grid()
+    mu = corpus.builtin_density(spec.density, grid)
+    family = spec.family(grid)
     norm = carl.carleson_norm(mu, family)
-    print(f"density={args.density} norm={norm.value:.10g} sup={mu.sup_norm:.10g}")
+    print(f"density={spec.density} norm={norm.value:.10g} sup={mu.sup_norm:.10g}")
     if args.map:
         phi = parse_map(args.map)
         grown = carl.carleson_norm(carl.pullback(mu, phi), family)
@@ -483,68 +464,85 @@ def _cmd_carleson(args) -> int:
     return 0
 
 
-def _add_sizes(p):
-    p.add_argument("--grid-n", type=int, default=128, dest="grid_n")
-    p.add_argument("--stride", type=int, default=16)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=0.0)
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are SpecErrors (exit 2, one ``error:`` line)
+    and that takes no abbreviation: ``carleson --p 2`` is not ``--periodic 2``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise SpecError(message)
 
 
-def _add_common(p, periodic_default=False):
-    _add_sizes(p)
-    p.add_argument("--box-side", type=float, default=2.0, dest="box_side")
-    p.add_argument("--box-lower", type=float, nargs=2, default=[-1.0, -1.0], dest="box_lower")
-    p.add_argument("--periodic", action="store_true", default=periodic_default)
-    p.add_argument("--radii", type=str, default="")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default="-")
+# options several subcommands take: name -> add_argument keywords (the dest
+# of --grid-n is grid_n, a SweepSpec field, and so on)
+_SHARED = {
+    "--grid-n": {"type": int, "default": 128},
+    "--box-side": {"type": float, "default": 2.0},
+    "--box-lower": {"type": float, "nargs": 2, "default": [-1.0, -1.0]},
+    "--periodic": {"action": "store_true"},
+    "--stride": {"type": int, "default": 16},
+    "--radii": {"default": ""},
+    "--p": {"type": float, "default": 1.0},
+    "--a": {"type": float, "default": 0.0},
+    "--out": {"default": "-"},
+}
+_BOX = "--grid-n --box-side --box-lower"
+
+
+def _add_shared(p, names: str) -> None:
+    for name in names.split():
+        p.add_argument(name, **_SHARED[name])
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="oscillab")
+    """Run one subcommand; each takes exactly the options it reads."""
+    parser = _Parser(prog="oscillab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seminorm", help="oscillation seminorm of a builtin or file")
     p.add_argument("--f", required=True)
-    _add_common(p)
+    _add_shared(p, f"{_BOX} --periodic --stride --radii --p --a")
     p.set_defaults(run=_cmd_seminorm)
 
     p = sub.add_parser("whitney", help="whitney cover of a mapped ball")
     p.add_argument("--map", required=True)
     p.add_argument("--ball", required=True, help="cx,cy,r")
-    _add_common(p)
+    _add_shared(p, f"{_BOX} --periodic --p --a --out")
     p.set_defaults(run=_cmd_whitney)
 
     p = sub.add_parser("carleson", help="carleson norm and pull-back")
     p.add_argument("--density", default="strip")
     p.add_argument("--map", default="")
-    _add_common(p)
+    _add_shared(p, f"{_BOX} --periodic --stride --radii")
     p.set_defaults(run=_cmd_carleson)
 
-    for name, help_, field_, u0, periodic in (
-        ("transport", "transport growth sweep", "strain", "log", False),
-        ("perturbed", "riesz-perturbed transport sweep", "cellular", "trig", True),
+    # perturbed always runs on the torus and fits the a = 0 seminorm
+    for name, help_, field_, u0, shared in (
+        ("transport", "transport growth sweep", "strain", "log", "--periodic --p --a"),
+        ("perturbed", "riesz-perturbed transport sweep", "cellular", "trig", "--p"),
     ):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--field", default=field_)
+        p.add_argument("--field", default=field_, dest="field_name", metavar="FIELD")
         p.add_argument("--u0", default=u0)
         p.add_argument("--dt", type=float, default=0.02)
         p.add_argument("--times", default="0,0.5,1,1.5,2")
-        _add_common(p, periodic_default=periodic)
-        p.set_defaults(run=_cmd_transport)
+        _add_shared(p, f"{_BOX} --stride --radii --out {shared}")
+        p.set_defaults(run=_cmd_transport, periodic=name == "perturbed")
 
     p = sub.add_parser("sweep", help="run a sweep spec file")
     p.add_argument("--spec", default="")
     p.add_argument("--kind", default="bmo-composition")
     p.add_argument("--maps", default="")
     p.add_argument("--functions", default="log")
-    _add_sizes(p)
+    _add_shared(p, "--grid-n --stride --p --a")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default="")
+    p.add_argument("--out", default="")
     p.set_defaults(run=_cmd_sweep)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.run(args)
     except OscillabError as exc:
         print(f"error: {exc}", file=sys.stderr)

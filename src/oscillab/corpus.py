@@ -99,36 +99,39 @@ def checkerboard(grid: Grid, seed: int | None = None) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-def builtin_function(name: str, grid: Grid, **kwargs):
-    """Resolve a corpus function by name, tuned to the grid resolution.
+def _center(grid: Grid) -> tuple:
+    return tuple(grid.box.center)
+
+
+def _torus(grid: Grid) -> Box | None:
+    return grid.box if grid.box.periodic else None
+
+
+# builtin function name -> (builder taking the grid and the given keys,
+# {key: type}); an omitted key takes its default, some of which depend on the
+# grid: the log clamp is two grid spacings and every center is the box center
+FUNCTIONS = {
+    "log": (lambda grid, clamp=None: log_singularity(
+        _center(grid), 2.0 * grid.h if clamp is None else clamp, _torus(grid)), {"clamp": float}),
+    "holder": (lambda grid, a=0.5: holder_cusp(a, _center(grid), _torus(grid)), {"a": float}),
+    "sawtooth": (lambda grid, k=1: sawtooth(k), {"k": int}),
+    "trig": (lambda grid, seed=0, modes=3: trig_poly(seed, modes), {"seed": int, "modes": int}),
+    "bump": (lambda grid, radius=None: smooth_bump(
+        _center(grid), grid.box.side / 4.0 if radius is None else radius, _torus(grid)),
+        {"radius": float}),
+    "checker": (lambda grid, seed=None: checkerboard(grid, seed), {"seed": int}),
+}
+
+
+def builtin_function(name: str, grid: Grid, **given):
+    """The corpus function ``name`` on ``grid``, with the keys in ``given``.
 
     Returns a vectorized callable (or a GridFunction for cell-aligned
-    builtins). The log clamp defaults to two grid spacings.
+    builtins).
     """
-    box = grid.box if grid.box.periodic else None
-    if name == "log":
-        clamp = kwargs.get("clamp", 2.0 * grid.h)
-        return log_singularity(kwargs.get("center", _default_center(grid)), clamp, box)
-    if name == "holder":
-        return holder_cusp(kwargs.get("a", 0.5), kwargs.get("center", _default_center(grid)), box)
-    if name == "sawtooth":
-        return sawtooth(int(kwargs.get("k", 1)))
-    if name == "trig":
-        return trig_poly(int(kwargs.get("seed", 0)), int(kwargs.get("modes", 3)))
-    if name == "bump":
-        return smooth_bump(
-            kwargs.get("center", _default_center(grid)),
-            kwargs.get("radius", grid.box.side / 4.0),
-            box,
-        )
-    if name == "checker":
-        seed = kwargs.get("seed")
-        return checkerboard(grid, None if seed is None else int(seed))
-    raise UnknownName(f"unknown builtin function {name!r}")
-
-
-def _default_center(grid: Grid):
-    return tuple(grid.box.center)
+    if name not in FUNCTIONS:
+        raise UnknownName(f"unknown builtin function {name!r}")
+    return FUNCTIONS[name][0](grid, **given)
 
 
 def strip_density_beta(center_x: float = 0.0):
@@ -145,13 +148,13 @@ def strip_density_beta(center_x: float = 0.0):
     return beta
 
 
-def builtin_density(name: str, grid: Grid, **kwargs):
+def builtin_density(name: str, grid: Grid):
     """Resolve a builtin density by name.
 
     'strip'  : unit density on a widening vertical strip (sup-controlled);
     'top'    : unit density on the top dyadic shell only (norm log 2);
     'spike'  : a single cell on the lowest shell (not sup-controlled);
-    'bmo'    : approximate-identity density of a corpus function (periodic).
+    'bmo'    : approximate-identity density of the log singularity (periodic).
     """
     from .carleson import (
         CarlesonDensity,
@@ -160,13 +163,11 @@ def builtin_density(name: str, grid: Grid, **kwargs):
         density_from_callable,
     )
 
-    T = float(kwargs.get("T", grid.box.side / 2.0))
-    shells = int(kwargs.get("shells", default_shell_count(grid)))
+    T = grid.box.side / 2.0
+    shells = default_shell_count(grid)
     if name == "strip":
-        cx = float(kwargs.get("center_x", grid.box.center[0]))
-        return density_from_callable(
-            grid, T, strip_density_beta(cx), shells, extend="zero"
-        )
+        beta = strip_density_beta(float(grid.box.center[0]))
+        return density_from_callable(grid, T, beta, shells, extend="zero")
     if name == "top":
         vals = np.zeros((shells, grid.size))
         vals[0] = 1.0
@@ -176,7 +177,6 @@ def builtin_density(name: str, grid: Grid, **kwargs):
         vals[-1, grid.size // 2] = 1.0
         return CarlesonDensity(grid, T, vals, "zero")
     if name == "bmo":
-        g = builtin_function(kwargs.get("g", "log"), grid)
-        gf = g if isinstance(g, GridFunction) else GridFunction.from_callable(grid, g)
-        return bmo_to_carleson(gf, shells)
+        g = GridFunction.from_callable(grid, builtin_function("log", grid))
+        return bmo_to_carleson(g, shells)
     raise UnknownName(f"unknown builtin density {name!r}")

@@ -165,7 +165,6 @@ def solve_perturbed(
     t_end: float,
     dt: float,
     times,
-    riesz: RieszOperator | None = None,
 ) -> list:
     """Strang splitting for advection plus a spectral multiplier source.
 
@@ -181,8 +180,7 @@ def solve_perturbed(
         raise NonPeriodic("perturbed solve needs a periodic grid")
     if dt * u_field.lip > 0.5:
         raise StepTooLarge(f"dt {dt} times Lip {u_field.lip} exceeds 0.5")
-    if riesz is None:
-        riesz = RieszOperator(grid)
+    riesz = RieszOperator(grid)
     n = grid.n
     nsteps = int(round(t_end / dt))
     if abs(nsteps * dt - t_end) > 1e-9 * max(t_end, 1.0):

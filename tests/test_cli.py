@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,10 +179,13 @@ def test_series_ratio_is_relative_to_t0(command, capsys):
         (["transport", "--field", "strain:junk"], "junk"),
         (["transport", "--field", "constant:vz=1"], "vz"),
         (["transport", "--radii", "0.05"], "0.05"),
-        (["perturbed", "--a", "0.5"], "a=0.5"),
+        (["perturbed", "--a", "0.5"], "--a"),
+        (["sweep", "--spec", "{tmp}/perturbed.txt"], "a=0.5"),
     ],
 )
-def test_user_input_is_not_dropped(argv, named, capsys):
+def test_user_input_is_not_dropped(argv, named, capsys, tmp_path):
+    (tmp_path / "perturbed.txt").write_text("kind=perturbed\na=0.5\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv + ["--grid-n", "32"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
@@ -269,9 +274,41 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
          "--grid-n", "64", "--stride", "8"],
         ["sweep", "--maps", "strain:t=1.3", "--functions", "checker",
          "--grid-n", "64", "--stride", "8"],
+        # options a command does not read, and abbreviated options
+        ["seminorm", "--f", "log", "--seed", "3"],
+        ["seminorm", "--f", "log", "--out", "x.csv"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,0.25", "--stride", "8"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,0.25", "--radii", "0.1"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,0.25", "--seed", "3"],
+        ["carleson", "--p", "2"],
+        ["carleson", "--a", "0.5"],
+        ["carleson", "--seed", "3"],
+        ["carleson", "--out", "c.txt"],
+        ["transport", "--seed", "3"],
+        ["perturbed", "--seed", "3"],
+        ["perturbed", "--periodic"],
+        ["perturbed", "--a", "0"],
+        ["seminorm", "--f", "log", "--rad", "0.25"],
+        ["seminorm", "--f", "log", "--str", "8"],
+        ["sweep", "--func", "log"],
+        # argparse usage errors: a bad value, a missing option, no such command
+        ["seminorm", "--f", "log", "--grid-n", "abc"],
+        ["seminorm", "--grid-n", "32"],
+        ["wormhole"],
+        [],
     ]
     for argv in bad_inputs:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), argv
         assert "np.float64" not in err[0], argv
+
+
+def test_readme_examples_run():
+    """Every ``oscillab`` line of README's command-line block runs (at n = 32)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("oscillab ")]
+    assert commands
+    for line in commands:
+        assert main(shlex.split(line)[1:] + ["--grid-n", "32"]) == 0, line
