@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, BallFamily, Grid, GridFunction, cells_in_ball, interpolate
+from .domain import Ball, BallFamily, Grid, GridFunction, cells_in_ball, interpolate, points_in_ball
 from .errors import HeightExceeded, NonPeriodic, OutOfDomain
 from .maps import BiLipMap
 
@@ -172,10 +172,8 @@ def pullback_set_mass(
     if r > mu.T * (1.0 + 1e-12):
         raise HeightExceeded(f"box height {r} exceeds density height {mu.T}")
     grid = mu.grid
-    pre_disp = grid.box.wrap_displacement(
-        phi.inverse(grid.cell_centers()) - np.asarray(box.base.center)
-    )
-    cells = np.einsum("ij,ij->i", pre_disp, pre_disp) <= box.base.radius**2
+    pre = phi.inverse(grid.cell_centers())
+    cells = points_in_ball(grid.box, pre, box.base.center, box.base.radius)
     mass = 0.0
     for j, t in enumerate(mu.t_levels):
         if t <= r * (1.0 + 1e-12):

@@ -19,7 +19,8 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,11 +46,6 @@ def _cast(text: str, like, what: str):
         return (like if isinstance(like, type) else type(like))(text)
     except ValueError:
         raise SpecError(f"bad value {text!r} for {what}") from None
-
-
-def _floats(text: str, what: str) -> list:
-    """Comma-separated numbers, as given on the command line or in a spec file."""
-    return [_cast(v, 0.0, what) for v in text.split(",")]
 
 
 def _parse_named(text: str) -> tuple:
@@ -126,32 +122,40 @@ def _resolve_field(spec: str) -> maps.VectorField:
     return _build(FIELD_BUILDERS, "vector field", spec)
 
 
-def _resolve_function(spec: str, grid: Grid):
+def _resolve_function(spec: str, grid: Grid) -> tuple:
+    """The builtin function of ``spec`` and its samples on ``grid``; a key value
+    the builtin cannot take (``trig:seed=-1``, ``bump:radius=0``) is a SpecError."""
     name, kv = _parse_named(spec)
     if name not in corpus.FUNCTIONS:
         raise UnknownName(f"unknown builtin function {name!r}")
-    keys = corpus.FUNCTIONS[name][1]
-    return corpus.builtin_function(name, grid, **_given(spec, kv, keys, "function"))
+    given = _given(spec, kv, corpus.FUNCTIONS[name][1], "function")
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            fn = corpus.builtin_function(name, grid, **given)
+            return fn, fn if isinstance(fn, GridFunction) else GridFunction.from_callable(grid, fn)
+    except (ArithmeticError, ValueError) as exc:
+        raise SpecError(f"bad parameters in function spec {spec!r}: {exc}") from exc
 
 
 @dataclass
 class SweepSpec:
-    """Fully serializable description of one experiment sweep."""
+    """Fully serializable description of one experiment sweep. Its fields are
+    the spec-file keys and the command-line options, parsed by ``_parse``."""
 
-    kind: str
-    maps: list = field(default_factory=list)
-    functions: list = field(default_factory=lambda: ["log"])
+    kind: str = ""
+    maps: list[str] = field(default_factory=list)
+    functions: list[str] = field(default_factory=lambda: ["log"])
     grid_n: int = 128
-    box_lower: tuple = (-1.0, -1.0)
+    box_lower: tuple[float, ...] = (-1.0, -1.0)
     box_side: float = 2.0
     periodic: bool = False
     stride: int = 16
-    radii: list = field(default_factory=list)
+    radii: list[float] = field(default_factory=list)
     p: float = 1.0
     a: float = 0.0
     density: str = "strip"
     field_name: str = "strain"
-    times: list = field(default_factory=lambda: [0.0, 0.5, 1.0, 1.5, 2.0])
+    times: list[float] = field(default_factory=lambda: [0.0, 0.5, 1.0, 1.5, 2.0])
     dt: float = 0.02
     seed: int = 0
     out: str = "-"
@@ -160,8 +164,10 @@ class SweepSpec:
         bad = []
         if self.kind not in RUNNERS:
             bad.append(f"kind={self.kind!r}")
-        if self.grid_n < 8:
-            bad.append(f"grid_n={self.grid_n}")
+        if len(self.box_lower) != 2:
+            bad.append(f"box_lower={self.box_lower} (takes x,y)")
+        if self.kind in ("transport", "perturbed") and len(self.functions) != 1:
+            bad.append(f"functions={';'.join(self.functions)!r} ({self.kind} takes one)")
         if self.kind == "perturbed" and self.a != 0:
             # the sharp-prefactor fit models the a = 0 seminorm
             bad.append(f"a={self.a:g} (perturbed needs a=0)")
@@ -177,41 +183,62 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
-        kv = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                k, _, v = line.partition("=")
-                if not _:
-                    raise SpecError(f"bad spec line {line!r}")
-                kv[k.strip()] = v.strip()
-        return cls.from_dict(kv)
+        return cls.from_dict(_read_spec(path))
 
     @classmethod
     def from_dict(cls, kv: dict) -> "SweepSpec":
-        spec = cls(kind=kv.get("kind", ""))
-        if "maps" in kv:
-            spec.maps = [m for m in kv["maps"].split(";") if m]
-        if "functions" in kv:
-            spec.functions = [f for f in kv["functions"].split(";") if f]
-        for key in ("grid_n", "stride", "seed", "p", "a", "dt", "box_side"):
-            if key in kv:
-                setattr(spec, key, _cast(kv[key], getattr(spec, key), key))
-        if "box_lower" in kv:
-            spec.box_lower = tuple(_floats(kv["box_lower"], "box_lower"))
-        if "periodic" in kv:
-            spec.periodic = kv["periodic"].lower() in ("1", "true", "yes")
-        if "radii" in kv:
-            spec.radii = _floats(kv["radii"], "radii")
-        if "times" in kv:
-            spec.times = _floats(kv["times"], "times")
-        for key in ("density", "field_name", "out"):
-            if key in kv:
-                setattr(spec, key, kv[key])
+        """The spec whose fields are the text values of ``kv``."""
+        spec = cls(**_parse_fields(kv))
         spec.validate()
         return spec
+
+
+_FIELD_TYPES = get_type_hints(SweepSpec)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse(text, hint, what: str):
+    """A field value from its text: ``;``-separated names, ``,``-separated
+    numbers (or a list of number texts, as ``--box-lower`` gives), a
+    boolean, a number or a string; SpecError if it does not parse."""
+    if hint is bool:
+        if text.lower() not in _BOOLEANS:
+            raise SpecError(f"bad value {text!r} for {what}")
+        return _BOOLEANS[text.lower()]
+    if get_args(hint)[:1] == (str,):
+        return [item for item in text.split(";") if item]
+    if get_origin(hint) in (list, tuple):
+        items = text.split(",") if isinstance(text, str) else text
+        return get_origin(hint)(_cast(item, float, what) for item in items)
+    return _cast(text, hint, what)
+
+
+def _parse_fields(kv: dict, name=str) -> dict:
+    """The text values of ``kv`` parsed by their SweepSpec fields; ``name(key)``
+    names a key in an error. A key that is no field is a SpecError."""
+    unknown = sorted(set(kv) - set(_FIELD_TYPES))
+    if unknown:
+        raise SpecError(f"unknown sweep spec key {', '.join(unknown)}")
+    return {key: _parse(text, _FIELD_TYPES[key], name(key)) for key, text in kv.items()}
+
+
+def _read_spec(path: str) -> dict:
+    """The ``key=value`` lines of a spec file as {key: text}; ``#`` starts a comment."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise SpecError(f"cannot read spec file {path!r}: {exc.strerror}") from None
+    kv = {}
+    for line in lines:
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        k, eq, v = line.partition("=")
+        if not eq:
+            raise SpecError(f"bad spec line {line!r}")
+        kv[k.strip()] = v.strip()
+    return kv
 
 
 def default_radii(grid: Grid) -> list:
@@ -222,12 +249,6 @@ def default_radii(grid: Grid) -> list:
         radii.append(r)
         r *= 2
     return radii
-
-
-def _sample(fn, grid: Grid) -> GridFunction:
-    if isinstance(fn, GridFunction):
-        return fn
-    return GridFunction.from_callable(grid, fn)
 
 
 def _growth_fits(points: dict, grid: Grid) -> dict:
@@ -241,8 +262,7 @@ def _run_composition(spec: SweepSpec, grid: Grid):
     params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
     rows, points = [], {}
     for fname in spec.functions:
-        fn = _resolve_function(fname, grid)
-        f = _sample(fn, grid)
+        fn, f = _resolve_function(fname, grid)
         s_in = seminorm(f, params, family).value
         for mspec in spec.maps:
             phi = parse_map(mspec)
@@ -296,8 +316,7 @@ def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
     time; ``fit(v, pts)`` fits the (t, ratio) points with t > 0.
     """
     v = _resolve_field(spec.field_name)
-    fn = _resolve_function(spec.functions[0], grid)
-    u0 = _sample(fn, grid)
+    fn, u0 = _resolve_function(spec.functions[0], grid)
     family = spec.family(grid)
     params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
     base = seminorm(u0, params, family).value
@@ -384,42 +403,28 @@ def _write_rows(out: str, rows, fit_lines) -> None:
             stream.write(line + "\n")
 
 
-def _spec(args, **values) -> SweepSpec:
-    """The SweepSpec of a subcommand: each option whose dest is a SweepSpec
-    field sets that field (``--radii`` parsed as numbers), then ``values``."""
-    names = {f.name for f in fields(SweepSpec)}
-    given = {key: value for key, value in vars(args).items() if key in names}
-    given["radii"] = _floats(given["radii"], "--radii") if given.get("radii") else []
-    return SweepSpec(kind=args.command, **{**given, **values})
+def _spec(args) -> SweepSpec:
+    """The SweepSpec of a subcommand: the keys of the ``sweep --spec`` file (or
+    else the subcommand's kind), then the options given, whose dests are fields."""
+    kind = "bmo-composition" if args.command == "sweep" else args.command
+    kv = _read_spec(args.spec) if getattr(args, "spec", "") else {"kind": kind}
+    given = {key: text for key, text in vars(args).items() if key in _FIELD_TYPES}
+    options = _parse_fields(given, lambda key: "--" + key.replace("_", "-"))
+    return SweepSpec(**{**_parse_fields(kv), **options})
 
 
-def _cmd_sweep(args) -> int:
-    if args.spec:
-        spec = SweepSpec.from_file(args.spec)
-    else:
-        spec = SweepSpec.from_dict(
-            {"kind": args.kind, "maps": args.maps, "functions": args.functions,
-             "grid_n": str(args.grid_n), "stride": str(args.stride),
-             "a": str(args.a), "p": str(args.p)}
-        )
-    if args.seed is not None:
-        spec.seed = args.seed
+def _cmd_run(args) -> int:
+    spec = _spec(args)
     rows, fits = run_sweep(spec)
-    _write_rows(args.out or spec.out, rows, fits_summary(fits) or ["# NoFit"])
-    return 0
-
-
-def _cmd_transport(args) -> int:
-    spec = _spec(args, functions=[args.u0], times=_floats(args.times, "--times"))
-    rows, fits = run_sweep(spec)
-    _write_rows(spec.out, rows, fits_summary(fits))
+    nofit = ["# NoFit"] if args.command == "sweep" else []
+    _write_rows(spec.out, rows, fits_summary(fits) or nofit)
     return 0
 
 
 def _cmd_seminorm(args) -> int:
     spec = _spec(args)
     grid = spec.grid()
-    f = _sample(_resolve_function(args.f, grid), grid)
+    _, f = _resolve_function(args.f, grid)
     est = seminorm(f, OscillationParams(p=spec.p, a=spec.a, d=grid.d), spec.family(grid))
     print("name,p,a,seminorm,argmax_center,argmax_radius")
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
@@ -431,7 +436,7 @@ def _cmd_whitney(args) -> int:
     spec = _spec(args)
     grid = spec.grid()
     phi = parse_map(args.map)
-    ball = _floats(args.ball, "--ball")
+    ball = _parse(args.ball, list[float], "--ball")
     if len(ball) != 3:
         raise SpecError(f"--ball takes cx,cy,r, got {args.ball!r}")
     ball = Ball(tuple(ball[:2]), ball[2])
@@ -466,83 +471,74 @@ def _cmd_carleson(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are SpecErrors (exit 2, one ``error:`` line)
-    and that takes no abbreviation: ``carleson --p 2`` is not ``--periodic 2``."""
+    and that takes no abbreviation: ``carleson --p 2`` is not ``--periodic 2``.
+    It records only the options given, as text."""
 
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)
+        super().__init__(allow_abbrev=False, argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise SpecError(message)
 
 
-# options several subcommands take: name -> add_argument keywords (the dest
-# of --grid-n is grid_n, a SweepSpec field, and so on)
-_SHARED = {
-    "--grid-n": {"type": int, "default": 128},
-    "--box-side": {"type": float, "default": 2.0},
-    "--box-lower": {"type": float, "nargs": 2, "default": [-1.0, -1.0]},
-    "--periodic": {"action": "store_true"},
-    "--stride": {"type": int, "default": 16},
-    "--radii": {"default": ""},
-    "--p": {"type": float, "default": 1.0},
-    "--a": {"type": float, "default": 0.0},
-    "--out": {"default": "-"},
+# an option records its text under the SweepSpec field of its name (the dest
+# of --grid-n is grid_n); these options need more add_argument keywords
+_OPTIONS = {
+    "--box-lower": {"nargs": 2},
+    "--periodic": {"action": "store_const", "const": "true"},
+    "--field": {"dest": "field_name", "metavar": "FIELD"},
+    "--u0": {"dest": "functions", "metavar": "U0"},
 }
 _BOX = "--grid-n --box-side --box-lower"
 
 
-def _add_shared(p, names: str) -> None:
+def _add(p, names: str) -> None:
     for name in names.split():
-        p.add_argument(name, **_SHARED[name])
+        p.add_argument(name, **_OPTIONS.get(name, {}))
 
 
-def main(argv=None) -> int:
-    """Run one subcommand; each takes exactly the options it reads."""
+def _parser() -> _Parser:
+    """The command line; each subcommand takes exactly the options it reads."""
     parser = _Parser(prog="oscillab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seminorm", help="oscillation seminorm of a builtin or file")
     p.add_argument("--f", required=True)
-    _add_shared(p, f"{_BOX} --periodic --stride --radii --p --a")
+    _add(p, f"{_BOX} --periodic --stride --radii --p --a")
     p.set_defaults(run=_cmd_seminorm)
 
     p = sub.add_parser("whitney", help="whitney cover of a mapped ball")
     p.add_argument("--map", required=True)
     p.add_argument("--ball", required=True, help="cx,cy,r")
-    _add_shared(p, f"{_BOX} --periodic --p --a --out")
+    _add(p, f"{_BOX} --periodic --p --a --out")
     p.set_defaults(run=_cmd_whitney)
 
     p = sub.add_parser("carleson", help="carleson norm and pull-back")
-    p.add_argument("--density", default="strip")
+    _add(p, "--density")
     p.add_argument("--map", default="")
-    _add_shared(p, f"{_BOX} --periodic --stride --radii")
+    _add(p, f"{_BOX} --periodic --stride --radii")
     p.set_defaults(run=_cmd_carleson)
 
+    p = sub.add_parser("transport", help="transport growth sweep")
+    _add(p, f"--field --u0 --dt --times {_BOX} --stride --radii --out --periodic --p --a")
+    p.set_defaults(run=_cmd_run)
+
     # perturbed always runs on the torus and fits the a = 0 seminorm
-    for name, help_, field_, u0, shared in (
-        ("transport", "transport growth sweep", "strain", "log", "--periodic --p --a"),
-        ("perturbed", "riesz-perturbed transport sweep", "cellular", "trig", "--p"),
-    ):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--field", default=field_, dest="field_name", metavar="FIELD")
-        p.add_argument("--u0", default=u0)
-        p.add_argument("--dt", type=float, default=0.02)
-        p.add_argument("--times", default="0,0.5,1,1.5,2")
-        _add_shared(p, f"{_BOX} --stride --radii --out {shared}")
-        p.set_defaults(run=_cmd_transport, periodic=name == "perturbed")
+    p = sub.add_parser("perturbed", help="riesz-perturbed transport sweep")
+    _add(p, f"--field --u0 --dt --times {_BOX} --stride --radii --out --p")
+    p.set_defaults(run=_cmd_run, periodic="true", field_name="cellular", functions="trig")
 
     p = sub.add_parser("sweep", help="run a sweep spec file")
     p.add_argument("--spec", default="")
-    p.add_argument("--kind", default="bmo-composition")
-    p.add_argument("--maps", default="")
-    p.add_argument("--functions", default="log")
-    _add_shared(p, "--grid-n --stride --p --a")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default="")
-    p.set_defaults(run=_cmd_sweep)
+    _add(p, "--kind --maps --functions --grid-n --stride --p --a --seed --out")
+    p.set_defaults(run=_cmd_run)
+    return parser
 
+
+def main(argv=None) -> int:
+    """Run one subcommand."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.run(args)
     except OscillabError as exc:
         print(f"error: {exc}", file=sys.stderr)

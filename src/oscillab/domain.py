@@ -222,13 +222,19 @@ def cells_in_ball(grid: Grid, ball: Ball) -> np.ndarray:
     return flat
 
 
+def points_in_ball(box: Box, points: np.ndarray, center, radius: float) -> np.ndarray:
+    """Whether each point (last axis d) lies in the closed ball, measured by
+    the wrapped displacement on a torus; ``center`` broadcasts against ``points``."""
+    disp = box.wrap_displacement(points - np.asarray(center))
+    return np.einsum("...j,...j->...", disp, disp) <= radius**2
+
+
 def _inside(grid: Grid, center: np.ndarray, radius: float, cells) -> np.ndarray:
     """Whether the cell centers lie in the ball; ``cells`` holds one integer
     index array per axis, and ``center`` (last axis d) broadcasts against them."""
     low = np.asarray(grid.box.lower)
     coords = np.stack([low[k] + (cells[k] + 0.5) * grid.h for k in range(grid.d)], axis=-1)
-    disp = grid.box.wrap_displacement(coords - center)
-    return np.einsum("...j,...j->...", disp, disp) <= radius**2
+    return points_in_ball(grid.box, coords, center, radius)
 
 
 def ball_average(f: GridFunction, ball: Ball) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, Box, Grid, cells_in_ball
+from .domain import Ball, Box, Grid, cells_in_ball, points_in_ball
 from .errors import StepTooLarge, ViolatedBound
 
 # central-difference step prefactor: 10 * eps^(1/3), standard for first derivatives
@@ -398,8 +398,7 @@ def check_measure_preserving(
         test_ball = Ball(tuple(grid.box.center), grid.box.side / 4.0)
     direct = len(cells_in_ball(grid, test_ball))
     pre = phi.inverse(centers)
-    disp = grid.box.wrap_displacement(pre - np.asarray(test_ball.center))
-    pulled = int((np.einsum("ij,ij->i", disp, disp) <= test_ball.radius**2).sum())
+    pulled = int(points_in_ball(grid.box, pre, test_ball.center, test_ball.radius).sum())
     mass_err = abs(pulled - direct) / max(direct, 1)
     return MeasureReport(max_det_err, float(mass_err))
 

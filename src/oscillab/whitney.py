@@ -24,6 +24,7 @@ from .domain import (
     cells_in_ball,  # noqa: F401  (perfbench's tracer wraps whitney.cells_in_ball)
     distance_transform,
     interpolate,
+    points_in_ball,
     unit_ball_volume,
 )
 from .errors import DegenerateMask, NotTorusMap, OutOfDomain, RadiusViolation
@@ -75,9 +76,7 @@ def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
         fwd_center = phi.forward(np.asarray(ball.center))
         if not grid.box.contains(fwd_center[None, :])[0]:
             raise OutOfDomain("mapped ball center leaves the window")
-    disp = grid.box.wrap_displacement(pre - np.asarray(ball.center))
-    bits = np.einsum("ij,ij->i", disp, disp) <= ball.radius**2
-    return PixelMask(grid, bits)
+    return PixelMask(grid, points_in_ball(grid.box, pre, ball.center, ball.radius))
 
 
 @dataclass(frozen=True)

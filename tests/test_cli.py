@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from oscillab.cli import (
     MAP_BUILDERS,
     SweepSpec,
+    _parser,
     _resolve_function,
+    _spec,
     default_radii,
     fits_summary,
     main,
@@ -181,10 +184,19 @@ def test_series_ratio_is_relative_to_t0(command, capsys):
         (["transport", "--radii", "0.05"], "0.05"),
         (["perturbed", "--a", "0.5"], "--a"),
         (["sweep", "--spec", "{tmp}/perturbed.txt"], "a=0.5"),
+        # spec-file keys that are no SweepSpec field, and a bad boolean
+        (["sweep", "--spec", "{tmp}/field.txt"], "field"),
+        (["sweep", "--spec", "{tmp}/u0.txt"], "u0"),
+        (["sweep", "--spec", "{tmp}/grid-n.txt"], "grid-n"),
+        (["sweep", "--spec", "{tmp}/ture.txt"], "ture"),
     ],
 )
 def test_user_input_is_not_dropped(argv, named, capsys, tmp_path):
-    (tmp_path / "perturbed.txt").write_text("kind=perturbed\na=0.5\n")
+    files = {"perturbed": "kind=perturbed\na=0.5", "field": "kind=transport\nfield=cellular",
+             "u0": "kind=transport\nu0=trig", "grid-n": "kind=transport\ngrid-n=32",
+             "ture": "kind=covering\nmaps=shear:lambda=1\nperiodic=ture"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text + "\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv + ["--grid-n", "32"]) == 2
     err = capsys.readouterr().err
@@ -193,7 +205,8 @@ def test_user_input_is_not_dropped(argv, named, capsys, tmp_path):
 
 def test_function_kwargs_parse_as_numbers():
     g = Grid(Box((-1.0, -1.0), 2.0), 32)
-    fn = _resolve_function("log:clamp=1e-3", g)
+    fn, samples = _resolve_function("log:clamp=1e-3", g)
+    np.testing.assert_array_equal(samples.values, fn(g.cell_centers()))
     assert fn(np.zeros((1, 2)))[0] == pytest.approx(math.log(1e-3))
     for f in ("log:clamp=1e-3", "checker:seed=3"):
         assert main(["seminorm", "--f", f, "--grid-n", "32", "--stride", "16"]) == 0
@@ -235,6 +248,8 @@ def test_main_sweep_writes_file(tmp_path, monkeypatch):
 def test_main_bad_map_is_clean_error(capsys, tmp_path):
     bad_spec = tmp_path / "bad.txt"
     bad_spec.write_text("kind=covering\ngrid_n=abc\n")
+    line_box = tmp_path / "line.txt"
+    line_box.write_text("kind=covering\nmaps=shear:lambda=1\nbox_lower=0\n")
     bad_inputs = [
         ["whitney", "--map", "wormhole", "--ball", "0,0,0.2"],
         ["seminorm", "--f", "wormhole", "--grid-n", "32"],
@@ -253,6 +268,8 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["whitney", "--periodic", "--map", "strain:t=0.5", "--ball", "0,0,0.25",
          "--grid-n", "32"],
         ["sweep", "--spec", str(bad_spec)],
+        ["sweep", "--spec", str(line_box), "--grid-n", "32"],
+        ["sweep", "--spec", str(tmp_path / "missing.txt")],
         ["seminorm", "--f", "log", "--grid-n", "32", "--stride", "0"],
         ["seminorm", "--f", "log", "--grid-n", "32", "--p", "0.5"],
         ["seminorm", "--f", "log", "--grid-n", "32", "--a", "2"],
@@ -269,6 +286,10 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "log:junk=1", "--grid-n", "32"],
         ["seminorm", "--f", "trig:seed=2.7", "--grid-n", "32"],
         ["seminorm", "--f", "log:center=0.1", "--grid-n", "32"],
+        # ... or a value the builtin cannot take
+        ["seminorm", "--f", "trig:seed=-1", "--grid-n", "32"],
+        ["seminorm", "--f", "sawtooth:k=0", "--grid-n", "32"],
+        ["seminorm", "--f", "bump:radius=0", "--grid-n", "32"],
         # a constant has no composition ratio; a mapped point leaves the window
         ["sweep", "--maps", "strain:t=1", "--functions", "bump:radius=1e-6",
          "--grid-n", "64", "--stride", "8"],
@@ -304,11 +325,62 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         assert "np.float64" not in err[0], argv
 
 
-def test_readme_examples_run():
-    """Every ``oscillab`` line of README's command-line block runs (at n = 32)."""
+def test_readme_examples_run(tmp_path):
+    """Every ``oscillab`` line of README's command-line block, and its spec
+    file, runs (at n = 32)."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = [line for line in block.splitlines() if line.startswith("oscillab ")]
     assert commands
-    for line in commands:
+    spec = tmp_path / "spec.txt"
+    spec.write_text(readme.split("### Sweep spec files", 1)[1].split("```", 2)[1])
+    for line in commands + [f"oscillab sweep --spec {spec}"]:
         assert main(shlex.split(line)[1:] + ["--grid-n", "32"]) == 0, line
+
+
+def test_options_override_spec_file_keys(tmp_path, capsys):
+    (tmp_path / "covering.txt").write_text(
+        "kind=covering\nmaps=shear:lambda=1\ngrid_n=64\nstride=8\n")
+    (tmp_path / "carleson.txt").write_text(
+        "kind=carleson\nmaps=strain:t=0.5;strain:t=1\ngrid_n=32\nstride=8\n")
+    outputs = []
+    for argv in (["--spec", f"{tmp_path}/covering.txt", "--grid-n", "32", "--kind", "carleson",
+                  "--maps", "strain:t=0.5;strain:t=1"],
+                 ["--spec", f"{tmp_path}/carleson.txt"]):
+        assert main(["sweep", *argv]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith("map,params,K_analytic,norm_in")
+
+
+# per SweepSpec field: the field, a command line that sets it, its spec-file text
+SPEC_INPUTS = [
+    ("kind", "sweep --kind carleson", "carleson"),
+    ("maps", "sweep --maps strain:t=1;shear:lambda=2", "strain:t=1;shear:lambda=2"),
+    ("functions", "sweep --functions log;trig:seed=3", "log;trig:seed=3"),
+    ("functions", "transport --u0 trig:seed=3", "trig:seed=3"),
+    ("grid_n", "sweep --grid-n 32", "32"),
+    ("box_lower", "transport --box-lower 0 0.5", "0,0.5"),
+    ("box_side", "transport --box-side 1", "1"),
+    ("periodic", "transport --periodic", "true"),
+    ("stride", "sweep --stride 8", "8"),
+    ("radii", "transport --radii 0.25,0.5", "0.25,0.5"),
+    ("p", "sweep --p 2", "2"),
+    ("a", "sweep --a 0.5", "0.5"),
+    ("density", "carleson --density top", "top"),
+    ("field_name", "transport --field constant:vx=2", "constant:vx=2"),
+    ("times", "transport --times 0,1,3", "0,1,3"),
+    ("dt", "transport --dt 0.05", "0.05"),
+    ("seed", "sweep --seed 3", "3"),
+    ("out", "sweep --out x.csv", "x.csv"),
+]
+
+
+@pytest.mark.parametrize("key, command, text", SPEC_INPUTS)
+def test_option_and_spec_key_give_equal_specs(key, command, text, tmp_path):
+    assert {row[0] for row in SPEC_INPUTS} == {f.name for f in fields(SweepSpec)}
+    from_option = _spec(_parser().parse_args(shlex.split(command)))
+    path = tmp_path / "spec.txt"
+    path.write_text(f"kind={from_option.kind}\n{key}={text}\n")
+    assert from_option == SweepSpec.from_file(str(path))
+    assert getattr(from_option, key) != getattr(SweepSpec(), key)
