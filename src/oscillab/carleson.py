@@ -3,7 +3,8 @@
 A density beta(t, x) defines the singular measure |beta|^2 dt dx / t on the
 upper half-space. Time is discretized on dyadic shells t_j = T 2^-j, which
 makes the dt/t weight of each shell exactly log 2 and removes all
-quadrature ambiguity near t = 0.
+quadrature ambiguity near t = 0. The shells of a box of height r fold into
+one spatial field (``shell_weight``), so a box mass is one ball sum of it.
 """
 
 from __future__ import annotations
@@ -98,35 +99,35 @@ class CarlesonNorm:
     argmax_ball: Ball
 
 
-def box_mass(mu: CarlesonDensity, box: CarlesonBox) -> float:
-    """Measure of the box: sum of shell masses, each weighted by log 2."""
-    r = box.height
+def shell_weight(mu: CarlesonDensity, r: float) -> np.ndarray:
+    """The shells of a box of height r folded into one field: the sum over
+    t_j <= r of beta_j^2 * cell volume * log 2, so that the box's mass is
+    the sum of this field over the cells of its base."""
     if r > mu.T * (1.0 + 1e-12):
         raise HeightExceeded(f"box height {r} exceeds density height {mu.T}")
-    cells = cells_in_ball(mu.grid, box.base)
-    mass = 0.0
-    cell_vol = mu.grid.cell_volume
+    w = np.zeros(mu.grid.size)
     for j, t in enumerate(mu.t_levels):
         if t <= r * (1.0 + 1e-12):
-            mass += float((mu.values[j, cells] ** 2).sum()) * cell_vol * LOG2
-    return mass
+            w += mu.values[j] ** 2 * mu.grid.cell_volume * LOG2
+    return w
+
+
+def box_mass(mu: CarlesonDensity, box: CarlesonBox) -> float:
+    """Measure of the box: the folded shell field summed over the base ball."""
+    return float(shell_weight(mu, box.height)[cells_in_ball(mu.grid, box.base)].sum())
 
 
 def carleson_norm(mu: CarlesonDensity, family) -> CarlesonNorm:
-    """Sup over the family of box mass over base ball volume."""
+    """Sup over the family of box mass over base ball volume; each block of
+    balls is one gather of the folded shell field of its radius."""
     family = BallFamily.on(mu.grid, family)
-    cell_vol = mu.grid.cell_volume
+    fields = {}
 
     def rows(ball: Ball, idx: np.ndarray) -> np.ndarray:
         r = ball.radius
-        if r > mu.T * (1.0 + 1e-12):
-            raise HeightExceeded(f"box height {r} exceeds density height {mu.T}")
-        mass = np.zeros(len(idx))
-        for j, t in enumerate(mu.t_levels):
-            if t <= r * (1.0 + 1e-12):
-                beta = mu.values[j][idx]
-                mass += np.square(beta, out=beta).sum(axis=1) * cell_vol * LOG2
-        return mass / ball.volume
+        if r not in fields:
+            fields[r] = shell_weight(mu, r)
+        return fields[r][idx].sum(axis=1) / ball.volume
 
     value, ball = family.sup(rows)
     return CarlesonNorm(value, len(family), ball)
@@ -150,11 +151,10 @@ def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
     inside = mu.grid.box.contains(pts)
     if not inside.all() and mu.extend == "error":
         raise OutOfDomain("pull-back needs density values outside the window")
-    rows = np.empty_like(mu.values)
+    # interpolate only inside: a far-off point overflows the cell index cast
+    rows = np.zeros_like(mu.values)
     for j in range(mu.shells):
-        rows[j] = interpolate(mu.grid, mu.values[j], pts)
-        if not inside.all():
-            rows[j, ~inside] = 0.0
+        rows[j, inside] = interpolate(mu.grid, mu.values[j], pts[inside])
     return CarlesonDensity(mu.grid, mu.T, rows, mu.extend)
 
 
@@ -168,17 +168,9 @@ def pullback_set_mass(
     image phi(B). Cross-check for the density form: both agree up to
     rasterization because the map preserves measure.
     """
-    r = box.height
-    if r > mu.T * (1.0 + 1e-12):
-        raise HeightExceeded(f"box height {r} exceeds density height {mu.T}")
-    grid = mu.grid
-    pre = phi.inverse(grid.cell_centers())
-    cells = points_in_ball(grid.box, pre, box.base.center, box.base.radius)
-    mass = 0.0
-    for j, t in enumerate(mu.t_levels):
-        if t <= r * (1.0 + 1e-12):
-            mass += float((mu.values[j, cells] ** 2).sum()) * grid.cell_volume * LOG2
-    return mass
+    w = shell_weight(mu, box.height)
+    pre = phi.inverse(mu.grid.cell_centers())
+    return float(w[points_in_ball(mu.grid.box, pre, box.base.center, box.base.radius)].sum())
 
 
 def sc_class_check(mu: CarlesonDensity, family, c_sc: float = 10.0) -> bool:

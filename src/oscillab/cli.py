@@ -93,11 +93,15 @@ FIELD_BUILDERS = {
 
 def _given(text: str, kv: dict, keys: dict, what: str) -> dict:
     """The values in ``kv``, each cast to the type of ``keys[key]`` (a default
-    or a type); SpecError for a key not in ``keys``."""
+    or a type); SpecError for a key not in ``keys`` or a nan or inf value."""
     unknown = sorted(set(kv) - set(keys))
     if unknown:
         raise SpecError(f"unknown {what} parameter {', '.join(unknown)} in {text!r}")
-    return {key: _cast(v, keys[key], f"{key} in {text!r}") for key, v in kv.items()}
+    given = {key: _cast(v, keys[key], f"{key} in {text!r}") for key, v in kv.items()}
+    for key, value in given.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SpecError(f"{what} parameter {key} in {text!r} must be finite")
+    return given
 
 
 def _build(table: dict, what: str, text: str):
@@ -392,7 +396,12 @@ def _output(out: str):
     if out in ("-", ""):
         yield sys.stdout
         return
-    with open(os.path.join(os.environ.get("OSCILLAB_OUT_DIR", ""), out), "w") as fh:
+    path = os.path.join(os.environ.get("OSCILLAB_OUT_DIR", ""), out)
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise SpecError(f"cannot write {path!r}: {exc.strerror}") from None
+    with fh:
         yield fh
 
 

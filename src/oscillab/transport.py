@@ -13,6 +13,7 @@ steps are merged into one real-FFT step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class TransportProblem:
     step: float
 
     def __post_init__(self):
+        if not 0 < self.step < math.inf:
+            raise BadParameter(f"time step {self.step:g} must be finite and positive")
         if self.step * self.v.lip > 0.1 and self.v.lip > 0:
             raise StepTooLarge(
                 f"step {self.step} too large for Lipschitz constant {self.v.lip}"
@@ -178,6 +181,8 @@ def solve_perturbed(
     grid = omega0.grid
     if not grid.box.periodic:
         raise NonPeriodic("perturbed solve needs a periodic grid")
+    if not 0 < dt < math.inf:
+        raise BadParameter(f"time step {dt:g} must be finite and positive")
     if dt * u_field.lip > 0.5:
         raise StepTooLarge(f"dt {dt} times Lip {u_field.lip} exceeds 0.5")
     riesz = RieszOperator(grid)

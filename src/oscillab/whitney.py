@@ -27,7 +27,7 @@ from .domain import (
     points_in_ball,
     unit_ball_volume,
 )
-from .errors import DegenerateMask, NotTorusMap, OutOfDomain, RadiusViolation
+from .errors import BadParameter, DegenerateMask, NotTorusMap, OutOfDomain, RadiusViolation
 from .maps import BiLipMap
 from .oscillation import rho
 
@@ -209,6 +209,8 @@ def covering_statistic(cover: WhitneyCover, a: float = 0.0, p: float = 1.0) -> f
     constant multiple of rho_a of the map distortion when the cover comes
     from a measure-preserving image.
     """
+    if not 0 < p < math.inf:
+        raise BadParameter(f"p {p:g} must be finite and positive")
     r_b = cover.source_ball.radius
     vol_b = cover.source_ball.volume
     total = 0.0

@@ -54,6 +54,8 @@ def test_box_mass_height_guard():
     mu = builtin_density("strip", g)
     with pytest.raises(HeightExceeded):
         box_mass(mu, CarlesonBox(Ball((0.0, 0.0), 2.0)))
+    with pytest.raises(HeightExceeded):
+        carleson_norm(mu, [Ball((0.0, 0.0), 0.5), Ball((0.0, 0.0), 2.0)])
 
 
 def test_density_shape_validation():

@@ -261,6 +261,17 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
          "--maps", "shear:lambda=2;twist:alpha=2;strain:t=0.5;strain:t=1"],
         ["transport", "--field", "cellular:amp=x", "--grid-n", "32"],
         ["transport", "--times", "0,a", "--grid-n", "32"],
+        # non-finite map and field keys
+        ["carleson", "--grid-n", "32", "--map", "strain:t=nan"],
+        ["transport", "--field", "constant:vx=nan", "--grid-n", "32"],
+        # a zero or negative time step, a zero covering exponent
+        ["transport", "--dt", "0", "--grid-n", "32"],
+        ["perturbed", "--dt", "0", "--grid-n", "32"],
+        ["transport", "--dt", "-1", "--grid-n", "32"],
+        ["sweep", "--kind", "covering", "--p", "0", "--grid-n", "32", "--maps", "strain:t=1"],
+        # --out into a directory that does not exist
+        ["sweep", "--grid-n", "32", "--maps", "strain:t=1",
+         "--out", str(tmp_path / "no" / "x.csv")],
         ["seminorm", "--f", "log", "--radii", "0.1,x", "--grid-n", "32"],
         ["whitney", "--map", "strain:t=1", "--ball", "0,0", "--grid-n", "32"],
         ["whitney", "--map", "strain:t=1", "--ball", "0,0,0", "--grid-n", "32"],
@@ -323,6 +334,14 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), argv
         assert "np.float64" not in err[0], argv
+
+
+def test_far_off_pullback_points_are_zero(capsys):
+    # strain:t=50 sends most cell centers ~1e21 out of the window, beyond
+    # the integer range of interpolate's cell index
+    assert main(["carleson", "--density", "spike", "--map", "strain:t=50", "--grid-n", "32"]) == 0
+    printed = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+    assert all(math.isfinite(float(printed[key])) for key in ("norm", "sup", "K", "pullback_norm"))
 
 
 def test_readme_examples_run(tmp_path):

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from oscillab.carleson import CarlesonBox, CarlesonDensity, box_mass, carleson_norm
 from oscillab.cli import SweepSpec, run_sweep
-from oscillab.domain import Ball, Box, Grid, GridFunction, ball_family, ball_oscillation
+from oscillab.domain import (
+    Ball,
+    Box,
+    Grid,
+    GridFunction,
+    ball_family,
+    ball_oscillation,
+    cells_in_ball,
+)
 from oscillab.errors import DomainError, EmptyFamily, OutOfDomain, ZeroSeminorm
 from oscillab.corpus import builtin_function, log_singularity
 from oscillab.maps import make_rotation, make_translation
@@ -190,6 +198,22 @@ def _assert_engine_matches_loop(f, mu, params, family):
     assert (norm.value, norm.argmax_ball) == (mass[k], family[k])
 
 
+def _assert_norm_matches_shell_sums(mu, family):
+    """carleson_norm within rounding of the per-shell box sums taken straight
+    from the density values and cells_in_ball, an oracle that shares no
+    code with the folded shell field of box_mass and the engine."""
+    cell_mass = mu.grid.cell_volume * math.log(2.0)
+    ratios = []
+    for b in family:
+        cells = cells_in_ball(mu.grid, b)
+        mass = sum(float((mu.values[j, cells] ** 2).sum()) * cell_mass
+                   for j, t in enumerate(mu.t_levels) if t <= b.radius * (1.0 + 1e-12))
+        ratios.append(mass / b.volume)
+    norm = carleson_norm(mu, family)
+    assert norm.value == pytest.approx(max(ratios), rel=1e-12, abs=0.0)
+    assert ratios[family.index(norm.argmax_ball)] == pytest.approx(norm.value, rel=1e-12, abs=0.0)
+
+
 def _random_inputs(g, seed, pattern):
     rng = np.random.default_rng(seed)
     if pattern == "checker":  # many tied oscillations exercise the argmax order
@@ -230,6 +254,7 @@ def test_compiled_family_matches_per_ball_loop(n, periodic, box, stride, fracs, 
         reject()
     f, mu = _random_inputs(g, seed, pattern)
     _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a, d=2), fam)
+    _assert_norm_matches_shell_sums(mu, fam)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
