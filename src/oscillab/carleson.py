@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Ball, BallFamily, Grid, GridFunction, cells_in_ball, interpolate, points_in_ball
-from .errors import HeightExceeded, NonPeriodic, OutOfDomain
+from .errors import HeightExceeded, NonPeriodic
 from .maps import BiLipMap
 
 LOG2 = math.log(2.0)
@@ -25,16 +25,13 @@ LOG2 = math.log(2.0)
 class CarlesonDensity:
     """beta sampled on (dyadic shells) x (spatial grid).
 
-    ``values`` has shape (J + 1, n^d) with shell j at height T 2^-j.
-    ``extend`` controls spatial evaluation outside the window during
-    pull-backs: 'error' raises, 'zero' treats the density as compactly
-    supported in the window.
+    ``values`` has shape (J + 1, n^d) with shell j at height T 2^-j. The
+    density is zero outside the window.
     """
 
     grid: Grid
     T: float
     values: np.ndarray
-    extend: str = "error"
     beta: object = None  # optional generating callable beta(t, points)
 
     def __post_init__(self):
@@ -43,8 +40,6 @@ class CarlesonDensity:
             raise ValueError("density values must have shape (J+1, n^d)")
         if not np.all(np.isfinite(vals)):
             raise ValueError("density values must be finite")
-        if self.extend not in ("error", "zero"):
-            raise ValueError("extend must be 'error' or 'zero'")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -63,7 +58,7 @@ class CarlesonDensity:
         scaled_beta = None
         if self.beta is not None:
             scaled_beta = lambda t, pts, b=self.beta: factor * np.asarray(b(t, pts))
-        return CarlesonDensity(self.grid, self.T, factor * self.values, self.extend, scaled_beta)
+        return CarlesonDensity(self.grid, self.T, factor * self.values, scaled_beta)
 
 
 def default_shell_count(grid: Grid) -> int:
@@ -71,14 +66,12 @@ def default_shell_count(grid: Grid) -> int:
     return int(math.log2(grid.n / 4)) + 1
 
 
-def density_from_callable(
-    grid: Grid, T: float, beta, shells: int | None = None, extend: str = "error"
-) -> CarlesonDensity:
+def density_from_callable(grid: Grid, T: float, beta) -> CarlesonDensity:
     """Sample beta(t, points) on the dyadic shells of the grid."""
-    j_max = shells or default_shell_count(grid)
     pts = grid.cell_centers()
-    rows = [np.asarray(beta(T * 2.0**-j, pts), dtype=float) for j in range(j_max)]
-    return CarlesonDensity(grid, T, np.stack(rows), extend, beta)
+    rows = [np.asarray(beta(T * 2.0**-j, pts), dtype=float)
+            for j in range(default_shell_count(grid))]
+    return CarlesonDensity(grid, T, np.stack(rows), beta)
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,6 @@ class CarlesonBox:
 @dataclass(frozen=True)
 class CarlesonNorm:
     value: float
-    family_size: int
     argmax_ball: Ball
 
 
@@ -130,7 +122,7 @@ def carleson_norm(mu: CarlesonDensity, family) -> CarlesonNorm:
         return fields[r][idx].sum(axis=1) / ball.volume
 
     value, ball = family.sup(rows)
-    return CarlesonNorm(value, len(family), ball)
+    return CarlesonNorm(value, ball)
 
 
 def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
@@ -138,8 +130,8 @@ def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
 
     Valid as a density pull-back precisely because phi preserves measure.
     Densities that carry their generating callable are resampled exactly;
-    gridded ones are interpolated per shell, with points leaving the window
-    handled by the density's extend policy.
+    gridded ones are interpolated per shell and read zero at points leaving
+    the window.
     """
     pts = phi.forward(mu.grid.cell_centers())
     if mu.beta is not None:
@@ -147,15 +139,13 @@ def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
         rows = np.stack(
             [np.asarray(mu.beta(t, pts), dtype=float) for t in mu.t_levels]
         )
-        return CarlesonDensity(mu.grid, mu.T, rows, mu.extend, new_beta)
+        return CarlesonDensity(mu.grid, mu.T, rows, new_beta)
     inside = mu.grid.box.contains(pts)
-    if not inside.all() and mu.extend == "error":
-        raise OutOfDomain("pull-back needs density values outside the window")
     # interpolate only inside: a far-off point overflows the cell index cast
     rows = np.zeros_like(mu.values)
     for j in range(mu.shells):
         rows[j, inside] = interpolate(mu.grid, mu.values[j], pts[inside])
-    return CarlesonDensity(mu.grid, mu.T, rows, mu.extend)
+    return CarlesonDensity(mu.grid, mu.T, rows)
 
 
 def pullback_set_mass(
@@ -173,15 +163,13 @@ def pullback_set_mass(
     return float(w[points_in_ball(mu.grid.box, pre, box.base.center, box.base.radius)].sum())
 
 
-def sc_class_check(mu: CarlesonDensity, family, c_sc: float = 10.0) -> bool:
-    """Membership in the sup-controlled class: sup |beta| <= C * Carleson norm."""
+def sc_class_check(mu: CarlesonDensity, family) -> bool:
+    """Membership in the sup-controlled class: sup |beta| <= 10 * Carleson norm."""
     norm = carleson_norm(mu, family).value
-    return mu.sup_norm <= c_sc * norm
+    return mu.sup_norm <= 10.0 * norm
 
 
-def bmo_to_carleson(
-    g: GridFunction, shells: int | None = None
-) -> CarlesonDensity:
+def bmo_to_carleson(g: GridFunction) -> CarlesonDensity:
     """Approximate-identity density of a mean-zero function on a torus.
 
     beta(t, x) = (g * G_t)(x) - (g * G_2t)(x) with G_t a Gaussian kernel of
@@ -199,7 +187,7 @@ def bmo_to_carleson(
     k = np.fft.fftfreq(n, d=grid.h)
     kx, ky = np.meshgrid(k, k, indexing="ij")
     ksq = kx**2 + ky**2
-    j_max = shells or default_shell_count(grid)
+    j_max = default_shell_count(grid)
     T = grid.box.side / 2.0
     rows = np.empty((j_max, grid.size))
     for j in range(j_max):
@@ -208,5 +196,5 @@ def bmo_to_carleson(
             -2.0 * (math.pi * 2.0 * t) ** 2 * ksq
         )
         rows[j] = np.real(np.fft.ifft2(spec * mult)).ravel()
-    return CarlesonDensity(grid, T, rows, "zero")
+    return CarlesonDensity(grid, T, rows)
 

@@ -263,7 +263,7 @@ def _growth_fits(points: dict, grid: Grid) -> dict:
 
 def _run_composition(spec: SweepSpec, grid: Grid):
     family = spec.family(grid)
-    params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
+    params = OscillationParams(p=spec.p, a=spec.a)
     rows, points = [], {}
     for fname in spec.functions:
         fn, f = _resolve_function(fname, grid)
@@ -322,7 +322,7 @@ def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
     v = _resolve_field(spec.field_name)
     fn, u0 = _resolve_function(spec.functions[0], grid)
     family = spec.family(grid)
-    params = OscillationParams(p=spec.p, a=spec.a, d=grid.d)
+    params = OscillationParams(p=spec.p, a=spec.a)
     base = seminorm(u0, params, family).value
     rows, pts = [], []
     for t, u in zip(spec.times, solve(spec, grid, v, fn, u0)):
@@ -434,7 +434,7 @@ def _cmd_seminorm(args) -> int:
     spec = _spec(args)
     grid = spec.grid()
     _, f = _resolve_function(args.f, grid)
-    est = seminorm(f, OscillationParams(p=spec.p, a=spec.a, d=grid.d), spec.family(grid))
+    est = seminorm(f, OscillationParams(p=spec.p, a=spec.a), spec.family(grid))
     print("name,p,a,seminorm,argmax_center,argmax_radius")
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
     print(f"{args.f},{spec.p:g},{spec.a:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}")
@@ -470,11 +470,13 @@ def _cmd_carleson(args) -> int:
     mu = corpus.builtin_density(spec.density, grid)
     family = spec.family(grid)
     norm = carl.carleson_norm(mu, family)
-    print(f"density={spec.density} norm={norm.value:.10g} sup={mu.sup_norm:.10g}")
+    # printed only once every line is computed, so a failure prints nothing
+    lines = [f"density={spec.density} norm={norm.value:.10g} sup={mu.sup_norm:.10g}"]
     if args.map:
         phi = parse_map(args.map)
         grown = carl.carleson_norm(carl.pullback(mu, phi), family)
-        print(f"map={phi.name} K={phi.K} pullback_norm={grown.value:.10g}")
+        lines.append(f"map={phi.name} K={phi.K} pullback_norm={grown.value:.10g}")
+    print("\n".join(lines))
     return 0
 
 

@@ -167,16 +167,16 @@ def builtin_density(name: str, grid: Grid):
     shells = default_shell_count(grid)
     if name == "strip":
         beta = strip_density_beta(float(grid.box.center[0]))
-        return density_from_callable(grid, T, beta, shells, extend="zero")
+        return density_from_callable(grid, T, beta)
     if name == "top":
         vals = np.zeros((shells, grid.size))
         vals[0] = 1.0
-        return CarlesonDensity(grid, T, vals, "zero")
+        return CarlesonDensity(grid, T, vals)
     if name == "spike":
         vals = np.zeros((shells, grid.size))
         vals[-1, grid.size // 2] = 1.0
-        return CarlesonDensity(grid, T, vals, "zero")
+        return CarlesonDensity(grid, T, vals)
     if name == "bmo":
         g = GridFunction.from_callable(grid, builtin_function("log", grid))
-        return bmo_to_carleson(g, shells)
+        return bmo_to_carleson(g)
     raise UnknownName(f"unknown builtin density {name!r}")

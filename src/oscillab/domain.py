@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class Box:
     @property
     def d(self) -> int:
         return len(self.lower)
-
-    @property
-    def upper(self) -> tuple:
-        return tuple(v + self.side for v in self.lower)
 
     @property
     def center(self) -> np.ndarray:
@@ -148,20 +144,6 @@ class GridFunction:
         """Sample ``fn`` (vectorized over an (N, d) array) at the cell centers."""
         return cls(grid, np.asarray(fn(grid.cell_centers()), dtype=float))
 
-    @property
-    def field(self) -> np.ndarray:
-        return self.values.reshape((self.grid.n,) * self.grid.d)
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + other)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class PixelMask:
@@ -179,10 +161,6 @@ class PixelMask:
     @property
     def count(self) -> int:
         return int(self.bits.sum())
-
-    @property
-    def area(self) -> float:
-        return self.count * self.grid.cell_volume
 
 
 @dataclass(frozen=True)

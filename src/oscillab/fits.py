@@ -23,23 +23,6 @@ class FitResult:
     model: str
     coeffs: tuple
     residual: float
-    n: int
-
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.model == "log":
-            c0, c1 = self.coeffs
-            return c0 + c1 * np.log(x)
-        if self.model == "power":
-            c0, eps = self.coeffs
-            return c0 * x**eps
-        if self.model == "affine":
-            c0, c1 = self.coeffs
-            return c0 + c1 * x
-        if self.model == "exp":
-            c0, gamma = self.coeffs
-            return c0 * np.exp(gamma * x)
-        raise ValueError(f"unknown model {self.model}")
 
 
 def rms_relative(pred: np.ndarray, y: np.ndarray) -> float:
@@ -53,17 +36,17 @@ def _linear_fit(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _fit_log(x, y, n):
+def _fit_log(x, y):
     c = _linear_fit(np.stack([np.ones_like(x), np.log(x)], axis=1), y)
-    return FitResult("log", (float(c[0]), float(c[1])), rms_relative(c[0] + c[1] * np.log(x), y), n)
+    return FitResult("log", (float(c[0]), float(c[1])), rms_relative(c[0] + c[1] * np.log(x), y))
 
 
-def _fit_affine(x, y, n):
+def _fit_affine(x, y):
     c = _linear_fit(np.stack([np.ones_like(x), x], axis=1), y)
-    return FitResult("affine", (float(c[0]), float(c[1])), rms_relative(c[0] + c[1] * x, y), n)
+    return FitResult("affine", (float(c[0]), float(c[1])), rms_relative(c[0] + c[1] * x, y))
 
 
-def _fit_power(x, y, n, eps_max):
+def _fit_power(x, y, eps_max):
     scale = np.maximum(np.abs(y), 1e-12)
 
     def resid(eps):
@@ -78,16 +61,16 @@ def _fit_power(x, y, n, eps_max):
     )
     eps = float(res.x)
     r, c0 = resid(eps)
-    return FitResult("power", (c0, eps), r, n)
+    return FitResult("power", (c0, eps), r)
 
 
-def _fit_exp(x, y, n):
+def _fit_exp(x, y):
     if np.any(y <= 0):
         # exponential model undefined for nonpositive data; fit on shifted data
-        return FitResult("exp", (float("nan"), float("nan")), float("inf"), n)
+        return FitResult("exp", (float("nan"), float("nan")), float("inf"))
     c = _linear_fit(np.stack([np.ones_like(x), x], axis=1), np.log(y))
     c0, gamma = math.exp(float(c[0])), float(c[1])
-    return FitResult("exp", (c0, gamma), rms_relative(c0 * np.exp(gamma * x), y), n)
+    return FitResult("exp", (c0, gamma), rms_relative(c0 * np.exp(gamma * x), y))
 
 
 def fit_models(points, eps_max: float = 2.0, models=("log", "power", "affine", "exp")) -> dict:
@@ -107,11 +90,11 @@ def fit_models(points, eps_max: float = 2.0, models=("log", "power", "affine", "
         raise RepeatedAbscissa(f"fit needs distinct x values, got x = {repeated[0]:g} twice")
     out = {}
     if "log" in models:
-        out["log"] = _fit_log(x, y, len(x))
+        out["log"] = _fit_log(x, y)
     if "power" in models:
-        out["power"] = _fit_power(x, y, len(x), eps_max)
+        out["power"] = _fit_power(x, y, eps_max)
     if "affine" in models:
-        out["affine"] = _fit_affine(x, y, len(x))
+        out["affine"] = _fit_affine(x, y)
     if "exp" in models:
-        out["exp"] = _fit_exp(x, y, len(x))
+        out["exp"] = _fit_exp(x, y)
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Ball, Box, Grid, cells_in_ball, points_in_ball
-from .errors import StepTooLarge, ViolatedBound
+from .errors import BadParameter, StepTooLarge, ViolatedBound
 
 # central-difference step prefactor: 10 * eps^(1/3), standard for first derivatives
 _FD_STEP = 10.0 * np.finfo(float).eps ** (1.0 / 3.0)
@@ -31,15 +31,15 @@ def _as_points(x) -> tuple:
 class BiLipMap:
     """Invertible bi-Lipschitz map with vectorized forward/inverse evaluators.
 
-    ``lip_forward`` / ``lip_inverse`` are analytic Lipschitz constants when
-    known (None otherwise); ``K`` is their sum.
+    ``lip_forward`` / ``lip_inverse`` are analytic Lipschitz constants;
+    ``K`` is their sum.
     """
 
     name: str
     forward_fn: object
     inverse_fn: object
-    lip_forward: float | None = None
-    lip_inverse: float | None = None
+    lip_forward: float
+    lip_inverse: float
 
     def forward(self, x):
         pts, single = _as_points(x)
@@ -52,25 +52,18 @@ class BiLipMap:
         return out[0] if single else out
 
     @property
-    def K(self) -> float | None:
-        if self.lip_forward is None or self.lip_inverse is None:
-            return None
+    def K(self) -> float:
         return self.lip_forward + self.lip_inverse
 
 
 def compose_maps(phi: BiLipMap, psi: BiLipMap) -> BiLipMap:
     """phi after psi; Lipschitz constants multiply (an upper bound)."""
-    lf = li = None
-    if phi.lip_forward is not None and psi.lip_forward is not None:
-        lf = phi.lip_forward * psi.lip_forward
-    if phi.lip_inverse is not None and psi.lip_inverse is not None:
-        li = phi.lip_inverse * psi.lip_inverse
     return BiLipMap(
         name=f"{phi.name}.{psi.name}",
         forward_fn=lambda x: phi.forward(psi.forward(x)),
         inverse_fn=lambda y: psi.inverse(phi.inverse(y)),
-        lip_forward=lf,
-        lip_inverse=li,
+        lip_forward=phi.lip_forward * psi.lip_forward,
+        lip_inverse=phi.lip_inverse * psi.lip_inverse,
     )
 
 
@@ -153,43 +146,34 @@ def make_linear_strain(t: float) -> BiLipMap:
     return BiLipMap(f"strain({t:g})", fwd, inv, lip, lip)
 
 
-def make_twist(omega, shear_bound: float, center=(0.0, 0.0), name=None) -> BiLipMap:
-    """Radial twist (r, theta) -> (r, theta + omega(r)) about a center.
+def make_hat_twist(alpha: float, center=(0.0, 0.0)) -> BiLipMap:
+    """Radial twist (r, theta) -> (r, theta + omega(r)) about a center, with
+    tent profile omega(r) = alpha * max(1 - r, 0).
 
-    Rotates each circle rigidly, hence volume preserving. ``shear_bound``
-    must dominate sup_r r * |omega'(r)|; the recorded Lipschitz constant is
-    the singular-value bound of a unit shear of that magnitude.
+    Rotates each circle rigidly, hence volume preserving. The recorded
+    Lipschitz constant is the singular-value bound of a unit shear of
+    magnitude sup_r r * |omega'(r)| = alpha (attained at r = 1).
     """
     c0 = np.asarray(center, dtype=float)
 
     def _twist(x, sign):
         rel = x - c0
         r = np.hypot(rel[:, 0], rel[:, 1])
-        ang = sign * np.asarray(omega(r))
+        ang = sign * alpha * np.clip(1.0 - r, 0.0, None)
         ca, sa = np.cos(ang), np.sin(ang)
         out = np.empty_like(rel)
         out[:, 0] = ca * rel[:, 0] - sa * rel[:, 1]
         out[:, 1] = sa * rel[:, 0] + ca * rel[:, 1]
         return out + c0
 
-    lip = _unit_triangular_sigma_max(shear_bound)
+    lip = _unit_triangular_sigma_max(alpha)
     return BiLipMap(
-        name or f"twist(c={shear_bound:g})",
+        f"twist({alpha:g})",
         lambda x: _twist(x, +1.0),
         lambda x: _twist(x, -1.0),
         lip,
         lip,
     )
-
-
-def make_hat_twist(alpha: float, center=(0.0, 0.0)) -> BiLipMap:
-    """Twist with tent profile omega(r) = alpha * max(1 - r, 0)."""
-
-    def omega(r):
-        return alpha * np.clip(1.0 - r, 0.0, None)
-
-    # |r * omega'(r)| = alpha * r on [0, 1], maximal at r = 1
-    return make_twist(omega, shear_bound=alpha, center=center, name=f"twist({alpha:g})")
 
 
 def make_stretch(factor: float) -> BiLipMap:
@@ -210,23 +194,22 @@ def make_stretch(factor: float) -> BiLipMap:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Velocity field with its Lipschitz constant and a divergence-free flag."""
+    """Divergence-free velocity field with its Lipschitz constant."""
 
     name: str
     fn: object
     lip: float
-    divergence_free: bool = True
 
     def __call__(self, x):
         pts, single = _as_points(x)
         out = np.asarray(self.fn(pts), dtype=float)
         return out[0] if single else out
 
-    def divergence_residual(self, points: np.ndarray, step: float | None = None) -> float:
+    def divergence_residual(self, points: np.ndarray) -> float:
         """Max |div v| over the points, by central differences."""
         pts, _ = _as_points(points)
         d = pts.shape[1]
-        h = step or _FD_STEP * max(1.0, float(np.abs(pts).max()))
+        h = _FD_STEP * max(1.0, float(np.abs(pts).max()))
         div = np.zeros(len(pts))
         for k in range(d):
             e = np.zeros(d)
@@ -287,6 +270,8 @@ def integrate_flow(v: VectorField, t: float, step: float) -> BiLipMap:
     """Time-t flow of v by RK4; the inverse integrates -v with the same step."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
+    if not 0 < step < math.inf:
+        raise BadParameter(f"flow step {step:g} must be finite and positive")
     if step * v.lip > 0.5:
         raise StepTooLarge(f"step {step} times Lip {v.lip} exceeds 0.5")
     lip = math.exp(v.lip * t)  # Gronwall envelope for either direction

@@ -26,11 +26,10 @@ from .maps import BiLipMap
 
 @dataclass(frozen=True)
 class OscillationParams:
-    """Oscillation exponent p, scaling exponent a, ambient dimension d."""
+    """Oscillation exponent p and scaling exponent a."""
 
     p: float = 1.0
     a: float = 0.0
-    d: int = 2
 
     def __post_init__(self):
         if not (1 <= self.p < math.inf):
@@ -44,8 +43,6 @@ class SeminormEstimate:
     """Value of the family sup together with the ball achieving it."""
 
     value: float
-    params: OscillationParams
-    family_size: int
     argmax_ball: Ball
 
 
@@ -69,10 +66,10 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEsti
         dev **= params.p
         # the root as a scalar pow per ball: the array pow may differ by an ulp
         osc = [m**inv_p for m in dev.mean(axis=1).tolist()]
-        return np.array(osc) / ball.volume ** (params.a / params.d)
+        return np.array(osc) / ball.volume ** (params.a / f.grid.d)
 
     value, ball = family.sup(rows)
-    return SeminormEstimate(value, params, len(family), ball)
+    return SeminormEstimate(value, ball)
 
 
 def compose(f, phi: BiLipMap, out_grid: Grid | None = None) -> GridFunction:
@@ -120,7 +117,7 @@ def check_average_shift(
         raise ZeroSeminorm("average-shift ratio needs a nonzero seminorm")
     big = Ball(ball.center, lam * ball.radius)
     shift = abs(ball_average(f, ball) - ball_average(f, big))
-    gauge = rho(params.a, 2.0 * lam) * ball.volume ** (params.a / params.d)
+    gauge = rho(params.a, 2.0 * lam) * ball.volume ** (params.a / f.grid.d)
     return shift / (gauge * seminorm_value)
 
 
@@ -131,9 +128,8 @@ def john_nirenberg_ratio(f: GridFunction, family) -> float:
     stays below a single moderate constant, reflecting the equivalence of
     the L^p oscillation scales.
     """
-    d = f.grid.d
-    s1 = seminorm(f, OscillationParams(p=1.0, a=0.0, d=d), family).value
+    s1 = seminorm(f, OscillationParams(p=1.0, a=0.0), family).value
     if s1 <= 0:
         raise ZeroSeminorm("ratio undefined for constants")
-    s2 = seminorm(f, OscillationParams(p=2.0, a=0.0, d=d), family).value
+    s2 = seminorm(f, OscillationParams(p=2.0, a=0.0), family).value
     return s2 / s1

@@ -18,14 +18,12 @@ import numpy as np
 from .domain import (
     Ball,
     BallFamily,
-    DistanceField,
     Grid,
     PixelMask,
     cells_in_ball,  # noqa: F401  (perfbench's tracer wraps whitney.cells_in_ball)
     distance_transform,
     interpolate,
     points_in_ball,
-    unit_ball_volume,
 )
 from .errors import BadParameter, DegenerateMask, NotTorusMap, OutOfDomain, RadiusViolation
 from .maps import BiLipMap
@@ -122,12 +120,7 @@ def _subdivide(bits2d, dist2d, grid, i0, j0, m, out):
             _subdivide(bits2d, dist2d, grid, i0 + di, j0 + dj, half, out)
 
 
-def whitney_decompose(
-    mask: PixelMask,
-    source_ball: Ball | None = None,
-    map_name: str = "",
-    dist: DistanceField | None = None,
-) -> WhitneyCover:
+def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") -> WhitneyCover:
     """Dyadic Whitney cover of a 2-D pixel mask.
 
     Top-down quadtree: a cube is accepted when it sits inside the set and
@@ -141,8 +134,7 @@ def whitney_decompose(
         raise ValueError("whitney covers are implemented for d = 2")
     if mask.count == 0:
         raise DegenerateMask("empty mask")
-    if dist is None:
-        dist = distance_transform(mask)
+    dist = distance_transform(mask)
     bits2d = mask.bits.reshape(grid.n, grid.n)
     dist2d = dist.dist.reshape(grid.n, grid.n)
     cubes: list = []
@@ -162,11 +154,6 @@ def whitney_decompose(
     for _, _, idx in BallFamily(grid, doubled).blocks():
         covered[idx] = True
     uncovered = float((mask.bits & ~covered).sum()) / mask.count
-
-    if source_ball is None:
-        # synthetic source ball with the same area as the mask
-        r_eq = (mask.area / unit_ball_volume(2)) ** 0.5
-        source_ball = Ball(tuple(grid.box.center), r_eq)
     return WhitneyCover(balls, source_ball, map_name, ratios, uncovered)
 
 

@@ -82,7 +82,7 @@ def _grid_fn(name, grid):
 def test_criterion_01_isometry_exactness():
     g = Grid(TORUS, 32)
     fam = ball_family(g, 1, [4 * g.h, 8 * g.h])
-    params = OscillationParams(p=2.0, a=0.0, d=2)
+    params = OscillationParams(p=2.0, a=0.0)
     isometries = [
         make_translation((8 * g.h, 3 * g.h)),
         make_rotation(math.pi / 2, center=(0.5, 0.5)),
@@ -239,7 +239,7 @@ def test_criterion_07_average_shift_bound():
     for name in ("log", "sawtooth", "trig", "holder"):
         f = _grid_fn(name, g)
         for a in (0.0, 0.5):
-            params = OscillationParams(p=2.0, a=a, d=2)
+            params = OscillationParams(p=2.0, a=a)
             sv = seminorm(f, params, fam).value
             for _ in range(100):
                 lam = rng.uniform(2.0, 32.0)

@@ -18,7 +18,15 @@ from oscillab.carleson import (
     sc_class_check,
 )
 from oscillab.corpus import builtin_density, builtin_function, strip_density_beta
-from oscillab.domain import Ball, Box, Grid, GridFunction, ball_family, cells_in_ball
+from oscillab.domain import (
+    Ball,
+    Box,
+    Grid,
+    GridFunction,
+    ball_family,
+    cells_in_ball,
+    interpolate,
+)
 from oscillab.errors import HeightExceeded, NonPeriodic
 from oscillab.maps import make_linear_strain, make_rotation, make_translation
 
@@ -62,8 +70,6 @@ def test_density_shape_validation():
     g = Grid(WINDOW, 128)
     with pytest.raises(ValueError):
         CarlesonDensity(g, 1.0, np.zeros(g.size))  # missing shell axis
-    with pytest.raises(ValueError):
-        CarlesonDensity(g, 1.0, np.zeros((3, g.size)), extend="mirror")
 
 
 def test_strip_density_is_carleson_and_sc():
@@ -106,9 +112,23 @@ def test_pullback_density_vs_set_form():
     assert m_density == pytest.approx(m_set, rel=0.01)
 
 
+def test_gridded_pullback_is_zero_outside_the_window():
+    g = Grid(WINDOW, 32)
+    mu = builtin_density("top", g)
+    assert mu.beta is None
+    phi = make_linear_strain(1.0)
+    pts = phi.forward(g.cell_centers())
+    inside = g.box.contains(pts)
+    assert inside.any() and not inside.all()
+    pb = pullback(mu, phi)
+    assert np.all(pb.values[:, ~inside] == 0.0)
+    for j in range(mu.shells):
+        assert np.array_equal(pb.values[j, inside], interpolate(g, mu.values[j], pts[inside]))
+
+
 def test_pullback_keeps_callable():
     g = Grid(WINDOW, 128)
-    mu = density_from_callable(g, 1.0, strip_density_beta(0.0), extend="zero")
+    mu = density_from_callable(g, 1.0, strip_density_beta(0.0))
     pb = pullback(mu, make_translation((0.3, 0.0)))
     assert pb.beta is not None
     # translated strip: beta(t, x) = 1 iff |x1 + 0.3| <= t

@@ -265,6 +265,8 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["carleson", "--grid-n", "32", "--map", "strain:t=nan"],
         ["transport", "--field", "constant:vx=nan", "--grid-n", "32"],
         # a zero or negative time step, a zero covering exponent
+        ["sweep", "--grid-n", "32", "--maps", "flow:step=0"],
+        ["sweep", "--grid-n", "32", "--maps", "flow:step=-0.01"],
         ["transport", "--dt", "0", "--grid-n", "32"],
         ["perturbed", "--dt", "0", "--grid-n", "32"],
         ["transport", "--dt", "-1", "--grid-n", "32"],
@@ -287,6 +289,11 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["perturbed", "--dt", "0.03", "--times", "0,0.1", "--grid-n", "32"],
         ["perturbed", "--times=-0.1,0.1", "--grid-n", "32"],
         ["transport", "--grid-n", "32", "--times=-0.1,0.1"],
+        # output times that are not finite
+        ["transport", "--times", "0,inf", "--grid-n", "32"],
+        ["perturbed", "--times", "0,inf", "--grid-n", "32"],
+        ["transport", "--times", "0,nan", "--grid-n", "32"],
+        ["perturbed", "--times", "0,nan", "--grid-n", "32"],
         # empty ball families: no default radius fits, no center, no room
         ["seminorm", "--f", "log", "--grid-n", "16"],
         ["seminorm", "--f", "log", "--grid-n", "64", "--stride", "1000"],
@@ -331,7 +338,10 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
     ]
     for argv in bad_inputs:
         assert main(argv) == 2, argv
-        err = capsys.readouterr().err.splitlines()
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        # a failing command prints no partial result
+        assert out == "", argv
         assert len(err) == 1 and err[0].startswith("error:"), argv
         assert "np.float64" not in err[0], argv
 

@@ -62,10 +62,10 @@ def test_duplicate_x_rejected():
         fit_models([(1.0, 1.0), (1.0, 2.0), (3.0, 3.0), (4.0, 4.0)])
 
 
-def test_predict_matches_model():
+def test_log_fit_recovers_coefficients():
     pts = [(x, 1.0 + 2.0 * math.log(x)) for x in XS]
     f = fit_models(pts)["log"]
-    assert f.predict(np.array([10.0]))[0] == pytest.approx(1.0 + 2.0 * math.log(10.0))
+    assert f.coeffs == pytest.approx((1.0, 2.0))
 
 
 def test_power_data_best_fit_is_power():

@@ -19,7 +19,7 @@ from oscillab.domain import (
     cells_in_ball,
 )
 from oscillab.errors import DomainError, EmptyFamily, OutOfDomain, ZeroSeminorm
-from oscillab.corpus import builtin_function, log_singularity
+from oscillab.corpus import builtin_density, builtin_function, log_singularity
 from oscillab.maps import make_rotation, make_translation
 from oscillab.oscillation import (
     OscillationParams,
@@ -54,7 +54,7 @@ def test_seminorm_frozen_oracles():
     # frozen reference values for the default corpus on the standard window
     g = Grid(WINDOW, 64)
     fam = ball_family(g, 8, [8 * g.h * 2**k for k in range(3)])
-    p10 = OscillationParams(p=1.0, a=0.0, d=2)
+    p10 = OscillationParams(p=1.0, a=0.0)
     log_v = seminorm(_grid_fn("log", g), p10, fam).value
     saw_v = seminorm(_grid_fn("sawtooth", g), p10, fam).value
     assert abs(log_v - 0.4778954802) < 1e-9
@@ -64,7 +64,7 @@ def test_seminorm_frozen_oracles():
 def test_seminorm_scaling_and_shift_invariance():
     g = Grid(TORUS, 64)
     fam = ball_family(g, 8, [4 * g.h, 8 * g.h])
-    params = OscillationParams(p=2.0, a=0.0, d=2)
+    params = OscillationParams(p=2.0, a=0.0)
     f = _grid_fn("trig", g)
     v = seminorm(f, params, fam).value
     v_scaled = seminorm(GridFunction(g, 3.0 * f.values + 10.0), params, fam).value
@@ -75,7 +75,7 @@ def test_seminorm_log_scale_invariance():
     # the hallmark of the a=0 class: log|x| and log|2x| have equal seminorms
     g = Grid(WINDOW, 128)
     fam = ball_family(g, 16, [8 * g.h, 16 * g.h])
-    params = OscillationParams(p=1.0, a=0.0, d=2)
+    params = OscillationParams(p=1.0, a=0.0)
     f1 = GridFunction.from_callable(g, log_singularity(clamp=2 * g.h))
     f2 = GridFunction.from_callable(
         g, lambda x: log_singularity(clamp=g.h)(2.0 * x)
@@ -86,14 +86,18 @@ def test_seminorm_log_scale_invariance():
 
 
 def test_refining_family_only_increases():
-    g = Grid(TORUS, 64)
-    coarse = ball_family(g, 16, [8 * g.h])
-    fine = ball_family(g, 4, [8 * g.h])
-    params = OscillationParams(p=2.0, a=0.0, d=2)
-    f = _grid_fn("log", g)
-    assert (
-        seminorm(f, params, fine).value >= seminorm(f, params, coarse).value - 1e-15
-    )
+    # stride 1 takes every cell center, so its family holds the stride-16 one
+    for box in (TORUS, WINDOW):
+        g = Grid(box, 64)
+        coarse = ball_family(g, 16, [8 * g.h, 16 * g.h])
+        fine = ball_family(g, 1, [8 * g.h, 16 * g.h])
+        assert set(coarse) < set(fine)
+        f = _grid_fn("log", g)
+        for p in (1.0, 2.0):
+            params = OscillationParams(p=p, a=0.0)
+            assert seminorm(f, params, fine).value >= seminorm(f, params, coarse).value
+        mu = builtin_density("strip", g)
+        assert carleson_norm(mu, fine).value >= carleson_norm(mu, coarse).value
 
 
 def test_compose_exact_translation_on_torus():
@@ -119,7 +123,7 @@ def test_compose_callable_needs_out_grid():
 def test_composition_ratio_identityish():
     g = Grid(TORUS, 32)
     fam = ball_family(g, 1, [4 * g.h, 8 * g.h])
-    params = OscillationParams(p=2.0, a=0.0, d=2)
+    params = OscillationParams(p=2.0, a=0.0)
     f = _grid_fn("log", g)
     quarter = make_rotation(math.pi / 2, center=(0.5, 0.5))
     ratio = seminorm(compose(f, quarter), params, fam).value / seminorm(f, params, fam).value
@@ -149,7 +153,7 @@ def test_average_shift_bounded_random():
     rng = np.random.default_rng(5)
     f = _grid_fn("log", g)
     for a in (0.0, 0.5):
-        params = OscillationParams(p=2.0, a=a, d=2)
+        params = OscillationParams(p=2.0, a=a)
         sv = seminorm(f, params, fam).value
         for _ in range(25):
             lam = rng.uniform(2.0, 32.0)
@@ -162,7 +166,7 @@ def test_average_shift_bounded_random():
 def test_average_shift_rejects_bad_lambda():
     g = Grid(TORUS, 32)
     f = _grid_fn("trig", g)
-    params = OscillationParams(p=2.0, a=0.0, d=2)
+    params = OscillationParams(p=2.0, a=0.0)
     with pytest.raises(ValueError):
         check_average_shift(f, Ball((0.5, 0.5), 0.2), 1.0, params, 1.0)
 
@@ -187,7 +191,7 @@ def _first_max(values):
 def _assert_engine_matches_loop(f, mu, params, family):
     """seminorm and carleson_norm over ``family`` equal per-ball loops of the
     primitives bit for bit, in value and in argmax ball."""
-    osc = [ball_oscillation(f, b, params.p) / b.volume ** (params.a / params.d)
+    osc = [ball_oscillation(f, b, params.p) / b.volume ** (params.a / f.grid.d)
            for b in family]
     est = seminorm(f, params, family)
     k = _first_max(osc)
@@ -222,7 +226,7 @@ def _random_inputs(g, seed, pattern):
     else:
         vals = rng.normal(size=g.size)
     shells = rng.normal(size=(4, g.size)) * (rng.random((4, g.size)) < 0.3)
-    mu = CarlesonDensity(g, g.box.side / 2.0, shells, "zero")
+    mu = CarlesonDensity(g, g.box.side / 2.0, shells)
     return GridFunction(g, vals), mu
 
 
@@ -253,7 +257,7 @@ def test_compiled_family_matches_per_ball_loop(n, periodic, box, stride, fracs, 
     except EmptyFamily:
         reject()
     f, mu = _random_inputs(g, seed, pattern)
-    _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a, d=2), fam)
+    _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a), fam)
     _assert_norm_matches_shell_sums(mu, fam)
 
 
@@ -265,7 +269,7 @@ def test_rounded_cell_centers_match_per_ball_loop(periodic):
     g = Grid(Box((0.1, 0.3), 1.7, periodic), 64)
     fam = ball_family(g, 2, [8 * g.h, 16 * g.h])
     f, mu = _random_inputs(g, 1, "normal")
-    _assert_engine_matches_loop(f, mu, OscillationParams(p=1.5, a=0.5, d=2), fam)
+    _assert_engine_matches_loop(f, mu, OscillationParams(p=1.5, a=0.5), fam)
 
 
 @settings(max_examples=40)
@@ -288,5 +292,5 @@ def test_plain_list_matches_per_ball_loop(periodic, loose, lattice, p, a, seed):
     balls += [Ball((low + (i + 0.5) * h, low + (j + 0.5) * h), r * h) for i, j, r in lattice]
     order = np.random.default_rng(seed).permutation(len(balls))
     f, mu = _random_inputs(g, seed, "normal")
-    _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a, d=2),
+    _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a),
                                 [balls[k] for k in order])
