@@ -118,8 +118,12 @@ def _build(table: dict, what: str, text: str):
 
 
 def parse_map(spec: str) -> maps.BiLipMap:
-    """Build a zoo map from its grammar string."""
-    return _build(MAP_BUILDERS, "map", spec)
+    """Build a zoo map from its grammar string; SpecError if its distortion K
+    overflows (``shear:lambda=1e200``)."""
+    phi = _build(MAP_BUILDERS, "map", spec)
+    if not math.isfinite(phi.K):
+        raise SpecError(f"map {spec!r} has distortion K = {phi.K:g}; it must be finite")
+    return phi
 
 
 def _resolve_field(spec: str) -> maps.VectorField:
@@ -164,10 +168,17 @@ class SweepSpec:
     seed: int = 0
     out: str = "-"
 
-    def validate(self):
+    def validate(self, sweep: bool = True):
+        """SpecError naming every bad field; ``sweep=False`` leaves out the
+        kind, for a subcommand that runs no sweep."""
         bad = []
-        if self.kind not in RUNNERS:
+        if sweep and self.kind not in RUNNERS:
             bad.append(f"kind={self.kind!r}")
+        if self.seed < 0:
+            bad.append(f"seed={self.seed} (must be nonnegative)")
+        if not all(0 < r < math.inf for r in self.radii):
+            radii = ",".join(f"{r:g}" for r in self.radii)
+            bad.append(f"radii={radii} (each must be finite and positive)")
         if len(self.box_lower) != 2:
             bad.append(f"box_lower={self.box_lower} (takes x,y)")
         if self.kind in ("transport", "perturbed") and len(self.functions) != 1:
@@ -419,7 +430,9 @@ def _spec(args) -> SweepSpec:
     kv = _read_spec(args.spec) if getattr(args, "spec", "") else {"kind": kind}
     given = {key: text for key, text in vars(args).items() if key in _FIELD_TYPES}
     options = _parse_fields(given, lambda key: "--" + key.replace("_", "-"))
-    return SweepSpec(**{**_parse_fields(kv), **options})
+    spec = SweepSpec(**{**_parse_fields(kv), **options})
+    spec.validate(sweep=args.run is _cmd_run)
+    return spec
 
 
 def _cmd_run(args) -> int:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import RepeatedAbscissa, TooFewPoints
 
@@ -47,6 +46,8 @@ def _fit_affine(x, y):
 
 
 def _fit_power(x, y, eps_max):
+    from scipy.optimize import minimize_scalar
+
     scale = np.maximum(np.abs(y), 1e-12)
 
     def resid(eps):

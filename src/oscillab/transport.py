@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .domain import _BLOCK_CELLS, Grid, GridFunction, interpolate
 from .errors import BadParameter, NonPeriodic, OutOfDomain, StepTooLarge
 from .maps import VectorField, _rk4
 from .fits import rms_relative
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,24 @@ class TransportProblem:
             )
 
 
-def _require_finite(times) -> None:
-    """BadParameter for an output time that is nan or infinite."""
+# a solve takes at most this many time steps, so every solve ends in
+# bounded time
+MAX_STEPS = 100_000
+
+
+def _check_times(times, t_end: float, step: float) -> None:
+    """BadParameter unless every output time is finite and in [0, t_end] and
+    reaching t_end takes at most MAX_STEPS steps of length ``step``."""
     for t in times:
         if not math.isfinite(t):
             raise BadParameter(f"output time {t:g} must be finite")
+        if not 0 <= t <= t_end:
+            raise BadParameter(f"output time {t:g} is outside [0, {t_end:g}]")
+    if not t_end / step <= MAX_STEPS:
+        raise BadParameter(
+            f"t_end {t_end:g} takes {t_end / step:.3g} steps of {step:g}, "
+            f"more than the cap of {MAX_STEPS}"
+        )
 
 
 def _evaluate_initial(u0, grid: Grid, pts: np.ndarray) -> np.ndarray:
@@ -70,10 +86,7 @@ def solve_transport(prob: TransportProblem, times) -> list:
     wrapped onto the torus only to evaluate ``u0``; a t = 0 snapshot is ``u0``
     at the cell centers.
     """
-    _require_finite(times)
-    for t in times:
-        if not 0 <= t <= prob.t_end:
-            raise BadParameter(f"output time {t:g} is outside [0, {prob.t_end:g}]")
+    _check_times(times, prob.t_end, prob.step)
     grid = prob.grid
     low = np.asarray(grid.box.lower)
     feet, now, out = grid.cell_centers(), 0.0, {}
@@ -129,6 +142,8 @@ def _catmull_rom_matrix(grid: Grid, pts: np.ndarray) -> csr_matrix:
     so a product sums them in the order of a per-point stencil loop. Rows
     are built in blocks, which keeps the weight temporaries small.
     """
+    from scipy.sparse import csr_matrix
+
     n = grid.n
     low = np.asarray(grid.box.lower)
     data = np.empty((len(pts), 16))
@@ -189,7 +204,7 @@ def solve_perturbed(
         raise BadParameter(f"time step {dt:g} must be finite and positive")
     if dt * u_field.lip > 0.5:
         raise StepTooLarge(f"dt {dt} times Lip {u_field.lip} exceeds 0.5")
-    _require_finite(times)
+    _check_times(times, t_end, dt)
     riesz = RieszOperator(grid)
     n = grid.n
     nsteps = int(round(t_end / dt))
@@ -198,8 +213,6 @@ def solve_perturbed(
     for t in times:
         if abs(round(t / dt) * dt - t) > 1e-9 * max(1.0, t_end):
             raise BadParameter(f"output time {t:g} must be a multiple of dt {dt:g}")
-        if not 0 <= round(t / dt) <= nsteps:
-            raise BadParameter(f"output time {t:g} is outside [0, {t_end:g}]")
     want = set(int(round(t / dt)) for t in times)
     last = max(want, default=0)  # later steps change no snapshot
 

@@ -18,6 +18,7 @@ import numpy as np
 from .domain import (
     Ball,
     BallFamily,
+    Box,
     Grid,
     PixelMask,
     cells_in_ball,  # noqa: F401  (perfbench's tracer wraps whitney.cells_in_ball)
@@ -97,37 +98,49 @@ class WhitneyCover:
         return np.array([b.radius for b in self.balls])
 
 
-def _subdivide(bits2d, dist2d, grid, i0, j0, m, out):
-    """Recursive stopping-time scan; appends (i0, j0, m) accepted cubes."""
-    h = grid.h
-    block = bits2d[i0 : i0 + m, j0 : j0 + m]
-    if not block.any():
-        return
-    if block.all():
-        if m == 1:
-            out.append((i0, j0, m))
-            return
-        diam = m * h * math.sqrt(2.0)
-        dq = dist2d[i0 : i0 + m, j0 : j0 + m].min() - h * math.sqrt(2.0)
-        if dq >= diam:
-            out.append((i0, j0, m))
-            return
-    if m == 1:
-        return
-    half = m // 2
-    for di in (0, half):
-        for dj in (0, half):
-            _subdivide(bits2d, dist2d, grid, i0 + di, j0 + dj, half, out)
+def _accepted_cubes(bits2d: np.ndarray, dist2d: np.ndarray, h: float) -> np.ndarray:
+    """The (i0, j0, m) cubes of the stopping-time quadtree, as rows in
+    ascending (i0, j0, m) order.
+
+    One numpy pass per level m = n, n/2, ..., 1 over the blocks that the
+    level above split, read from 2x2-pooled pyramids of the mask (any, all)
+    and of the distance field (min). A block is accepted when it lies inside
+    the set and, for m > 1, its distance to the complement less a cell
+    diagonal is at least its own diagonal; it is split when it meets the set
+    and is not accepted.
+    """
+    def pool(levels, ufunc):
+        a = levels[-1]
+        levels.append(ufunc.reduce((a[::2, ::2], a[1::2, ::2], a[::2, 1::2], a[1::2, 1::2])))
+
+    anys, alls, mins = [bits2d], [bits2d], [dist2d]
+    while len(anys[-1]) > 1:
+        pool(anys, np.logical_or)
+        pool(alls, np.logical_and)
+        pool(mins, np.minimum)
+    found = []
+    active = np.ones((1, 1), dtype=bool)
+    for level in range(len(anys) - 1, -1, -1):
+        m = 1 << level
+        accept = active & alls[level]
+        if m > 1:
+            diam = m * h * math.sqrt(2.0)
+            accept &= mins[level] - h * math.sqrt(2.0) >= diam
+        i, j = np.nonzero(accept)
+        found.append(np.stack([i * m, j * m, np.full_like(i, m)], axis=1))
+        active = (active & anys[level] & ~accept).repeat(2, axis=0).repeat(2, axis=1)
+    cubes = np.concatenate(found)
+    return cubes[np.lexsort(cubes.T[::-1])]
 
 
 def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") -> WhitneyCover:
     """Dyadic Whitney cover of a 2-D pixel mask.
 
-    Top-down quadtree: a cube is accepted when it sits inside the set and
-    its (conservatively measured) distance to the complement is at least its
-    diameter; single in-set cells are accepted unconditionally, so every set
-    cell belongs to some cube and the doubled inscribed balls cover the set
-    exactly.
+    Top-down quadtree (``_accepted_cubes``), one numpy pass per level: a
+    cube is accepted when it sits inside the set and its (conservatively
+    measured) distance to the complement is at least its diameter; single
+    in-set cells are accepted unconditionally, so every set cell belongs to
+    some cube and the doubled inscribed balls cover the set exactly.
     """
     grid = mask.grid
     if grid.d != 2:
@@ -137,12 +150,8 @@ def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") ->
     dist = distance_transform(mask)
     bits2d = mask.bits.reshape(grid.n, grid.n)
     dist2d = dist.dist.reshape(grid.n, grid.n)
-    cubes: list = []
-    _subdivide(bits2d, dist2d, grid, 0, 0, grid.n, cubes)
-    cubes.sort()
-
     h = grid.h
-    cube = np.array(cubes, dtype=float)
+    cube = _accepted_cubes(bits2d, dist2d, h).astype(float)
     m = cube[:, 2:]
     centers = np.asarray(grid.box.lower) + (cube[:, :2] + m / 2.0) * h
     radii = _BALL_SHRINK * (m[:, 0] * h) / 2.0
@@ -157,30 +166,57 @@ def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") ->
     return WhitneyCover(balls, source_ball, map_name, ratios, uncovered)
 
 
+def _min_gap(centers: np.ndarray, radii: np.ndarray, box: Box) -> float:
+    """Smallest center distance (wrapped on a torus) minus radius sum over
+    all pairs of balls; inf for fewer than two balls.
+
+    A KD-tree (periodic on a torus) gives each ball its nearest neighbour;
+    the smallest gap over those pairs bounds the minimum from above, so only
+    the pairs closer than that bound plus twice the largest radius can
+    attain it. The gap of a pair is always evaluated by the same expression,
+    so the result is the exact minimum over all pairs.
+    """
+    if len(radii) < 2:
+        return math.inf
+    from scipy.spatial import cKDTree
+
+    pts, boxsize = centers, None
+    if box.periodic:
+        pts = np.mod(centers - np.asarray(box.lower), box.side)
+        pts[pts >= box.side] = 0.0  # np.mod(-1e-17, 1.0) is 1.0
+        boxsize = box.side
+    tree = cKDTree(pts, boxsize=boxsize)
+
+    def gaps(pairs):
+        i, j = pairs.min(axis=1), pairs.max(axis=1)
+        d = np.linalg.norm(box.wrap_displacement(centers[j] - centers[i]), axis=1)
+        return d - (radii[j] + radii[i])
+
+    _, nearest = tree.query(pts, k=2)
+    own = np.arange(len(pts))
+    # a coincident center may come back first, in place of the ball itself
+    other = np.where(nearest[:, 1] == own, nearest[:, 0], nearest[:, 1])
+    bound = float(gaps(np.stack([own, other], axis=1)).min())
+    reach = bound + 2.0 * float(radii.max()) + 1e-9 * box.side
+    close = tree.query_pairs(reach, output_type="ndarray")
+    return float(gaps(close).min(initial=bound))
+
+
 def check_cover_invariants(cover: WhitneyCover, mask: PixelMask) -> dict:
     """Literal checks of the cover invariants; returns the measured slacks.
 
     Keys: min_gap (smallest center distance, wrapped on a torus, minus
-    radius sum, positive for disjointness), uncovered_fraction, ratio_min/ratio_max, max_radius,
+    radius sum over all pairs, positive for disjointness; see ``_min_gap``),
+    uncovered_fraction, ratio_min/ratio_max, max_radius,
     containment_violations (ball cells outside the mask).
     """
-    balls = cover.balls
-    centers = np.array([b.center for b in balls])
     radii = cover.radii
-    min_gap = math.inf
-    wrap = mask.grid.box.wrap_displacement
-    if len(balls) > 1:
-        # neighbor scan via sorted cells is overkill at these sizes
-        for i in range(len(balls)):
-            d = np.linalg.norm(wrap(centers[i + 1 :] - centers[i]), axis=1)
-            gap = d - (radii[i + 1 :] + radii[i])
-            if len(gap):
-                min_gap = min(min_gap, float(gap.min()))
+    centers = np.array([b.center for b in cover.balls])
     contain_bad = 0
-    for _, _, idx in BallFamily(mask.grid, balls).blocks():
+    for _, _, idx in BallFamily(mask.grid, cover.balls).blocks():
         contain_bad += int((~mask.bits[idx]).sum())
     return {
-        "min_gap": min_gap,
+        "min_gap": _min_gap(centers, radii, mask.grid.box),
         "uncovered_fraction": cover.uncovered_fraction,
         "ratio_min": float(min(cover.whitney_ratios)),
         "ratio_max": float(max(cover.whitney_ratios)),

@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oscillab
 from oscillab.cli import (
     MAP_BUILDERS,
     SweepSpec,
@@ -294,6 +297,13 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["perturbed", "--times", "0,inf", "--grid-n", "32"],
         ["transport", "--times", "0,nan", "--grid-n", "32"],
         ["perturbed", "--times", "0,nan", "--grid-n", "32"],
+        # an output time that would take more steps than the cap
+        ["transport", "--times", "0,1e300", "--grid-n", "32"],
+        ["perturbed", "--times", "0,1e300", "--grid-n", "32"],
+        # a negative seed, a nan radius, a map whose K overflows
+        ["sweep", "--maps", "strain:t=1", "--seed", "-1", "--grid-n", "32"],
+        ["seminorm", "--f", "log", "--radii", "0.5,nan", "--grid-n", "32"],
+        ["carleson", "--map", "shear:lambda=1e200", "--grid-n", "32"],
         # empty ball families: no default radius fits, no center, no room
         ["seminorm", "--f", "log", "--grid-n", "16"],
         ["seminorm", "--f", "log", "--grid-n", "64", "--stride", "1000"],
@@ -413,3 +423,16 @@ def test_option_and_spec_key_give_equal_specs(key, command, text, tmp_path):
     path.write_text(f"kind={from_option.kind}\n{key}={text}\n")
     assert from_option == SweepSpec.from_file(str(path))
     assert getattr(from_option, key) != getattr(SweepSpec(), key)
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    # each scipy submodule is imported by the function that uses it, so a
+    # command pays only for what it runs
+    code = (
+        "import sys, oscillab.cli; print(' '.join(m for m in ('scipy.optimize', "
+        "'scipy.sparse', 'scipy.spatial', 'scipy.ndimage') if m in sys.modules))"
+    )
+    src = str(Path(oscillab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""

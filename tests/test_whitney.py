@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.domain import Ball, Box, Grid, PixelMask, cells_in_ball, distance_transform
 from oscillab.errors import NotTorusMap, RadiusViolation
@@ -17,6 +19,7 @@ from oscillab.maps import (
 )
 from oscillab.whitney import (
     WhitneyCover,
+    _accepted_cubes,
     check_cover_invariants,
     covering_statistic,
     image_mask,
@@ -158,6 +161,70 @@ def test_cover_gap_wraps_on_torus():
     assert check_cover_invariants(cover, mask)["min_gap"] < 0
 
 
+def _subdivide(bits2d, dist2d, h, i0, j0, m, out):
+    """Recursive stopping-time scan, the reference of ``_accepted_cubes``;
+    appends the accepted (i0, j0, m) cubes."""
+    block = bits2d[i0 : i0 + m, j0 : j0 + m]
+    if not block.any():
+        return
+    if block.all():
+        if m == 1:
+            out.append((i0, j0, m))
+            return
+        diam = m * h * math.sqrt(2.0)
+        dq = dist2d[i0 : i0 + m, j0 : j0 + m].min() - h * math.sqrt(2.0)
+        if dq >= diam:
+            out.append((i0, j0, m))
+            return
+    if m == 1:
+        return
+    half = m // 2
+    for di in (0, half):
+        for dj in (0, half):
+            _subdivide(bits2d, dist2d, h, i0 + di, j0 + dj, half, out)
+
+
+def _brute_min_gap(cover, box):
+    """Smallest wrapped center distance minus radius sum, over every pair."""
+    centers = np.array([b.center for b in cover.balls])
+    radii = cover.radii
+    min_gap = math.inf
+    for i in range(len(radii) - 1):
+        d = np.linalg.norm(box.wrap_displacement(centers[i + 1 :] - centers[i]), axis=1)
+        min_gap = min(min_gap, float((d - (radii[i + 1 :] + radii[i])).min()))
+    return min_gap
+
+
+@pytest.mark.parametrize("box", [BIG, TORUS])
+def test_cover_gap_beyond_nearest_neighbours(box):
+    # every ball's nearest center belongs to a ball with a wider gap, so the
+    # smallest gap (a, b) is found only within the nearest-neighbour bound
+    # plus twice the largest radius; on the torus it also crosses the seam,
+    # and one center sits a rounding error below the box, which folds to 0
+    if box.periodic:
+        a, b, r, up, small, want = (0.04, 0.5), (0.94, 0.5), 0.03, 0.095, 0.02, 0.04
+        extra = [Ball((-1e-17, 0.2), small)]
+    else:
+        a, b, r, up, small, want = (-0.6, 0.0), (0.45, 0.0), 0.5, 0.8, 0.1, 0.05
+        extra = []
+    balls = [Ball(a, r), Ball(b, r), Ball((a[0], a[1] + up), small),
+             Ball((b[0], b[1] + up), small), *extra]
+    cover = WhitneyCover(balls, Ball((0.5, 0.5), 1.0), "", [1.0] * len(balls), 0.0)
+    g = Grid(box, 64)
+    gap = check_cover_invariants(cover, PixelMask(g, np.ones(g.size, dtype=bool)))["min_gap"]
+    assert gap == _brute_min_gap(cover, box)
+    assert gap == pytest.approx(want)
+
+
+def test_cover_gap_of_coincident_centers():
+    # the KD-tree may return a coincident center before the ball itself
+    g = Grid(TORUS, 64)
+    balls = [Ball((0.3, 0.3), 0.1), Ball((0.3, 0.3), 0.05), Ball((0.6, 0.6), 0.05)]
+    cover = WhitneyCover(balls, Ball((0.5, 0.5), 0.25), "", [1.0] * 3, 0.0)
+    mask = PixelMask(g, np.ones(g.size, dtype=bool))
+    assert check_cover_invariants(cover, mask)["min_gap"] == -(0.05 + 0.1)
+
+
 def _sawtooth(y):
     u = np.mod(y, 1.0)
     return np.minimum(u, 1.0 - u)
@@ -218,3 +285,42 @@ def test_cover_gathers_match_per_ball_loop():
             assert inv["containment_violations"] == bad
             violations += bad
     assert violations > 0
+
+
+@settings(max_examples=20)
+@given(
+    kind=st.sampled_from(["strain", "shear", "twist", "torus"]),
+    n=st.sampled_from([64, 128]),
+    size=st.floats(0.0, 1.0),
+    cx=st.floats(0.0, 1.0),
+    cy=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 1.0),
+)
+def test_whitney_engine_matches_recursive_reference(kind, n, size, cx, cy, r):
+    # window masks of random strains, shears and twists, and torus masks of
+    # criterion 02's sawtooth shear whose source ball may cross the seam
+    if kind == "torus":
+        g = Grid(TORUS, n)
+        ball = Ball((cx, cy), 0.05 + 0.15 * r)
+        t = 0.5 + 1.5 * size
+        phi = make_shear(math.exp(t) - math.exp(-t), _sawtooth)
+    else:
+        g = Grid(BIG, n)
+        center = (0.6 * cx - 0.3, 0.6 * cy - 0.3)
+        ball = Ball(center, 0.15 + 0.2 * r)
+        phi = {
+            "strain": lambda: make_linear_strain(0.2 + size),
+            "shear": lambda: make_shear(0.5 + 2.5 * size),
+            "twist": lambda: make_hat_twist(0.5 + 5.5 * size, center=center),
+        }[kind]()
+    mask = image_mask(phi, ball, g)
+    cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
+    bits2d = mask.bits.reshape(n, n)
+    dist2d = distance_transform(mask).dist.reshape(n, n)
+    ref: list = []
+    _subdivide(bits2d, dist2d, g.h, 0, 0, n, ref)
+    np.testing.assert_array_equal(_accepted_cubes(bits2d, dist2d, g.h), np.array(sorted(ref)))
+    inv = check_cover_invariants(cover, mask)
+    assert inv["min_gap"] == _brute_min_gap(cover, g.box)
+    assert inv["min_gap"] > 0.0
+    assert cover.uncovered_fraction == 0.0
