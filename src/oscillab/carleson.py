@@ -111,17 +111,30 @@ def box_mass(mu: CarlesonDensity, box: CarlesonBox) -> float:
 
 def carleson_norm(mu: CarlesonDensity, family) -> CarlesonNorm:
     """Sup over the family of box mass over base ball volume; each block of
-    balls is one gather of the folded shell field of its radius."""
+    balls is one gather of the folded shell field of its radius.
+
+    Only balls whose mass can reach the sup are gathered. With w >= 0 the
+    field of a ball's radius, S its ball sum, c its cell count and s the
+    family's ``sum_slack``, the mass is at most S (1 + s) + s c max w, which
+    covers the rounding of S and of the gathered sum.
+    """
     family = BallFamily.on(mu.grid, family)
-    fields = {}
+    radii, first, which = np.unique(family.radii, return_index=True, return_inverse=True)
+    w = np.empty((len(radii), mu.grid.size))
+    # in family order, so a box too tall fails at the radius a gather of
+    # every ball would fail at
+    for k in np.argsort(first):
+        w[k] = shell_weight(mu, float(radii[k]))
+    fields = dict(zip(radii.tolist(), w))
 
     def rows(ball: Ball, idx: np.ndarray) -> np.ndarray:
-        r = ball.radius
-        if r not in fields:
-            fields[r] = shell_weight(mu, r)
-        return fields[r][idx].sum(axis=1) / ball.volume
+        return fields[ball.radius][idx].sum(axis=1) / ball.volume
 
-    value, ball = family.sup(rows)
+    mass = family.ball_sums(w)[which, np.arange(len(family))]
+    slack = family.sum_slack
+    top = w.max(axis=1)[which]
+    bound = (mass * (1 + slack) + slack * family.counts * top) / family.volumes
+    value, ball = family.sup(rows, bound)
     return CarlesonNorm(value, ball)
 
 

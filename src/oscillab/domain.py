@@ -11,6 +11,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,6 +258,18 @@ def distance_transform(mask: PixelMask) -> DistanceField:
 _BLOCK_CELLS = 1 << 16
 
 
+class _Group(NamedTuple):
+    """Balls that are lattice translates of each other, at compiled positions
+    ``start``, ``start + 1``, ...; ``runs`` cuts their stencil into stretches
+    of consecutive cells along the last axis."""
+
+    start: int
+    cells: np.ndarray  # (balls, d) center cells
+    offsets: np.ndarray  # (c, d) cell offsets from the center, in stencil order
+    stencil: np.ndarray  # (c,) flat cell offsets, ascending
+    runs: np.ndarray  # (runs, d + 1): leading offsets, first and last offset on the last axis
+
+
 class BallFamily(Sequence):
     """Immutable ball family compiled for one grid.
 
@@ -266,7 +279,9 @@ class BallFamily(Sequence):
     bounding box of cells inside it) form a group that stores integer center
     cells and one stencil of cell offsets, taken from ``cells_in_ball`` on
     the group's first ball. Any other ball is a group of its own. As a
-    sequence it holds the balls in the order they were given.
+    sequence it holds the balls in the order they were given; ``radii``,
+    ``volumes`` and ``counts`` hold each ball's radius, volume and number of
+    cells in that order.
     """
 
     def __init__(self, grid: Grid, balls):
@@ -297,7 +312,10 @@ class BallFamily(Sequence):
         for k, key in enumerate(keys):
             groups.setdefault(-k - 1 if alone[k] else key, []).append(k)
         self._strides = n ** np.arange(d - 1, -1, -1)
-        self._groups = []  # (first compiled position, center cells, offsets, stencil)
+        self._groups = []
+        self.radii = radii
+        self.counts = np.empty(len(radii), dtype=np.intp)
+        self.volumes = np.empty(len(radii))
         parts = [part for members in groups.values()
                  for part in _agreeing(grid, members, centers, cells, offset, radii)]
         order, start = [], 0
@@ -309,10 +327,31 @@ class BallFamily(Sequence):
                 offsets = (offsets + n // 2) % n - n // 2  # shortest wrap
             stencil = offsets @ self._strides
             sort = np.argsort(stencil)
-            self._groups.append((start, cells[members], offsets[sort], stencil[sort]))
+            offsets, stencil = offsets[sort], stencil[sort]
+            # a run ends where a leading offset changes or the last one skips
+            cut = np.flatnonzero(np.any(np.diff(offsets[:, :-1], axis=0) != 0, axis=1)
+                                 | (np.diff(offsets[:, -1]) != 1)) + 1
+            ends = np.r_[cut, len(offsets)] - 1
+            runs = np.column_stack([offsets[np.r_[0, cut]], offsets[ends, -1]])
+            self._groups.append(_Group(start, cells[members], offsets, stencil, runs))
+            self.counts[members] = len(stencil)
+            self.volumes[members] = self._balls[first].volume
             order += members
             start += len(members)
         self.order = np.array(order)
+        # ball_sums pads a torus row on each side by the farthest run end
+        self._margin = 0
+        if grid.box.periodic:
+            self._margin = int(max(max(-g.runs[:, -2].min(), g.runs[:, -1].max())
+                                   for g in self._groups))
+        # A ball_sums sum over c cells rounds by at most c eps (2 w^2 + c + 1)
+        # max|values| (running sums over lines of w cells, two of them and
+        # one addition per run, at most c runs); a gathered c-cell sum or
+        # mean rounds by a relative c eps. The slack exceeds three times the
+        # first per cell and eight times the second, room enough for the
+        # bounds built on up to three ball sums.
+        w = n + 2 * self._margin
+        self.sum_slack = 8 * np.finfo(float).eps * (w * w + int(self.counts.max()))
 
     def __len__(self) -> int:
         return len(self._balls)
@@ -326,38 +365,112 @@ class BallFamily(Sequence):
 
         Compiled position j is ball ``self[self.order[j]]``; one block never
         spans two groups and holds at most about ``_BLOCK_CELLS`` cells.
+        """
+        for pos, idx in self._blocks(np.arange(len(self))):
+            yield int(pos[0]), int(pos[-1]) + 1, idx
+
+    def _blocks(self, positions: np.ndarray):
+        """Yield (pos, idx) over the ascending compiled ``positions``, in
+        blocks of at most about ``_BLOCK_CELLS`` cells within one group:
+        ``idx[k]`` holds the flat cell indices of position ``pos[k]``.
+
         On a torus, a ball that crosses the seam has its cells wrapped axis
-        by axis and sorted back into ascending (``cells_in_ball``) order;
-        its wrapped stencil is a few ascending runs, which a stable sort
-        merges in close to linear time.
+        by axis and sorted back into ascending (``cells_in_ball``) order; its
+        wrapped stencil is a few ascending runs, which a stable sort merges
+        in close to linear time.
         """
         n, d = self.grid.n, self.grid.d
-        for start, cells, offsets, stencil in self._groups:
-            per = max(1, _BLOCK_CELLS // len(stencil))
-            lowest, highest = offsets.min(axis=0), offsets.max(axis=0)
-            for lo in range(0, len(cells), per):
-                block = cells[lo:lo + per]
-                idx = (block @ self._strides)[:, None] + stencil
+        ends = np.searchsorted(positions, [g.start for g in self._groups] + [len(self)])
+        for group, first, stop in zip(self._groups, ends[:-1], ends[1:]):
+            per = max(1, _BLOCK_CELLS // len(group.stencil))
+            lowest, highest = group.offsets.min(axis=0), group.offsets.max(axis=0)
+            for lo in range(first, stop, per):
+                pos = positions[lo:min(lo + per, stop)]
+                block = group.cells[pos - group.start]
+                idx = (block @ self._strides)[:, None] + group.stencil
                 if self.grid.box.periodic:
                     wraps = np.any((block + lowest < 0) | (block + highest >= n), axis=1)
                     if wraps.any():
                         # Grid makes n a power of two, so & (n - 1) is the wrap % n
                         moved, flat = block[wraps], 0
                         for k in range(d):
-                            flat = flat * n + ((moved[:, k, None] + offsets[:, k]) & (n - 1))
+                            flat = flat * n + ((moved[:, k, None] + group.offsets[:, k]) & (n - 1))
                         idx[wraps] = np.sort(flat, axis=1, kind="stable")
-                yield start + lo, start + lo + len(block), idx
+                yield pos, idx
 
-    def sup(self, rows) -> tuple:
+    def ball_sums(self, values) -> np.ndarray:
+        """Sums of ``values`` (shape (..., n^d)) over the cells of each ball,
+        shape (..., len(self)) in family order.
+
+        A ball's sum takes one difference of prefix sums along the last axis
+        per run of its stencil: about 2R + 1 lookups for a ball R cells wide,
+        not about pi R^2 cells. A torus pads that axis with wrapped cells and
+        wraps the leading axes with ``& (n - 1)``. Over a ball of c cells the
+        sum is within ``sum_slack * c * max|values|`` of the exact one. The
+        lookups go in chunks of at most about ``_BLOCK_CELLS`` per field.
+        """
+        n, d, m = self.grid.n, self.grid.d, self._margin
+        periodic = self.grid.box.periodic
+        values = np.asarray(values, dtype=float)
+        lines = values.reshape(-1, n ** (d - 1), n)
+        if m:
+            lines = np.pad(lines, [(0, 0), (0, 0), (m, m)], mode="wrap")
+        width = n + 2 * m + 1
+        prefix = np.zeros(lines.shape[:-1] + (width,))
+        np.cumsum(lines, axis=-1, out=prefix[..., 1:])
+        prefix = prefix.reshape(len(prefix), -1)
+        out = np.empty((len(prefix), len(self)))
+        for group in self._groups:
+            runs = group.runs
+            per = max(1, _BLOCK_CELLS // len(runs))
+            for lo in range(0, len(group.cells), per):
+                block = group.cells[lo:lo + per]
+                row = 0
+                for k in range(d - 1):
+                    i = block[:, k, None] + runs[:, k]
+                    row = row * n + (i & (n - 1) if periodic else i)
+                base = row * width + block[:, -1, None] + m
+                first, past = base + runs[:, -2], base + runs[:, -1] + 1
+                at = self.order[group.start + lo:group.start + lo + len(block)]
+                for sums, field in zip(out, prefix):
+                    sums[at] = (field.take(past) - field.take(first)).sum(axis=1)
+        return out.reshape(values.shape[:-1] + (len(self),))
+
+    def sup(self, rows, bound=None) -> tuple:
         """Largest value over the family and the first ball (in family order)
-        that attains it; ``rows(ball, idx)`` returns the values of one block,
-        whose balls all share the radius of ``ball``."""
-        vals = np.empty(len(self))
-        for start, stop, idx in self.blocks():
-            pos = self.order[start:stop]
-            vals[pos] = rows(self._balls[pos[0]], idx)
+        that attains it; ``rows(ball, idx)`` returns the values of the balls
+        whose cells ``idx`` holds, one row each, all of the radius of ``ball``.
+
+        ``bound``, if given, holds an upper bound on each ball's value as
+        ``rows`` computes it, in family order; ``seminorm`` (p <= 2) and
+        ``carleson_norm`` build theirs from ``ball_sums`` with ``sum_slack``
+        added for rounding. Then the ball with the top bound in each group is
+        gathered first, and after that only the balls whose bound reaches
+        the best value found so far. A ball left out is below that value and
+        a gathered one is reduced as before, so value and argmax equal those
+        of a gather of every ball, bit for bit. With no bound (``seminorm``
+        at p > 2) every ball is gathered.
+        """
+        vals = np.full(len(self), -np.inf)
+        if bound is None:
+            self._fill(rows, vals, np.arange(len(self)))
+        else:
+            bound = np.asarray(bound)[self.order]
+            tops = [g.start + int(np.argmax(bound[g.start:g.start + len(g.cells)]))
+                    for g in self._groups]
+            self._fill(rows, vals, np.array(tops))
+            reach = bound >= vals.max()
+            reach[tops] = False
+            self._fill(rows, vals, np.flatnonzero(reach))
         k = int(np.argmax(vals))
         return float(vals[k]), self._balls[k]
+
+    def _fill(self, rows, vals: np.ndarray, positions: np.ndarray) -> None:
+        """``vals`` (family order) at the ascending compiled ``positions``,
+        computed by ``rows`` block by block."""
+        for pos, idx in self._blocks(positions):
+            at = self.order[pos]
+            vals[at] = rows(self._balls[at[0]], idx)
 
     @classmethod
     def on(cls, grid: Grid, family) -> "BallFamily":

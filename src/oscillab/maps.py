@@ -266,12 +266,22 @@ def _rk4(fn, x: np.ndarray, t_total: float, step: float) -> np.ndarray:
     return y
 
 
+# a flow map or a solve takes at most this many time steps, so each ends in
+# bounded time
+MAX_STEPS = 100_000
+
+
 def integrate_flow(v: VectorField, t: float, step: float) -> BiLipMap:
     """Time-t flow of v by RK4; the inverse integrates -v with the same step."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if not 0 < step < math.inf:
         raise BadParameter(f"flow step {step:g} must be finite and positive")
+    if not t / step <= MAX_STEPS:
+        raise BadParameter(
+            f"flow time {t:g} takes {t / step:.3g} steps of {step:g}, "
+            f"more than the cap of {MAX_STEPS}"
+        )
     if step * v.lip > 0.5:
         raise StepTooLarge(f"step {step} times Lip {v.lip} exceeds 0.5")
     lip = math.exp(v.lip * t)  # Gronwall envelope for either direction

@@ -9,7 +9,13 @@ inequality checks are phrased so that this bias is conservative.
 The sup is computed over a ``BallFamily`` compiled once per grid: each
 block of balls is one gather of (balls x cells) values followed by row
 means, in the cell order of ``cells_in_ball``, so the result equals a loop
-of ``ball_oscillation`` over the family bit for bit.
+of ``ball_oscillation`` over the family bit for bit. For p <= 2 only the
+balls that can reach the sup are gathered: the power-mean inequality
+osc_p <= osc_2 bounds each ball, and osc_2 comes from prefix-sum ball sums
+of f - mean f and its square (``BallFamily.ball_sums``). The bound carries a
+slack above the worst rounding of those sums and of the gathered reduction,
+so the balls left out are below the sup and the result stays bit-identical.
+For p > 2 osc_2 bounds nothing, and every ball is gathered.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEsti
     """Max over the ball family of oscillation(B) / |B|^(a/d)."""
     family = BallFamily.on(f.grid, family)
     inv_p = 1.0 / params.p
+    scale = params.a / f.grid.d
 
     def rows(ball: Ball, idx: np.ndarray) -> np.ndarray:
         dev = f.values[idx]
@@ -66,10 +73,36 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEsti
         dev **= params.p
         # the root as a scalar pow per ball: the array pow may differ by an ulp
         osc = [m**inv_p for m in dev.mean(axis=1).tolist()]
-        return np.array(osc) / ball.volume ** (params.a / f.grid.d)
+        return np.array(osc) / ball.volume**scale
 
-    value, ball = family.sup(rows)
+    bound = None
+    if params.p <= 2:
+        bound = _oscillation_bound(f, family) / family.volumes**scale
+    value, ball = family.sup(rows, bound)
     return SeminormEstimate(value, ball)
+
+
+def _oscillation_bound(f: GridFunction, family: BallFamily) -> np.ndarray:
+    """Per ball (family order), an upper bound on the L^p oscillation that a
+    gather computes, for any p <= 2: osc_p <= osc_2 (power means).
+
+    osc_2 comes from ball sums of z = (f - mean f) / max|f - mean f| and
+    z^2, with ``sum_slack`` added to the variance of z for their rounding.
+    A gathered ball mean of c cells is off by at most c eps max|f|, which
+    raises osc_2 to its hypot with that offset; the factor 1 + sum_slack
+    covers the rounding of the gathered reduction and of this bound.
+    """
+    z = np.empty((2, f.values.size))
+    np.subtract(f.values, f.values.mean(), out=z[0])
+    top = float(np.abs(z[0]).max())
+    if top > 0:
+        z[0] /= top
+    np.multiply(z[0], z[0], out=z[1])
+    s1, s2 = family.ball_sums(z)
+    c, slack = family.counts, family.sum_slack
+    var = np.maximum(s2 / c - (s1 / c) ** 2, 0.0) + slack
+    offset = 2 * np.finfo(float).eps * c * np.abs(f.values).max()
+    return np.hypot(top * np.sqrt(var), offset) * (1 + slack)
 
 
 def compose(f, phi: BiLipMap, out_grid: Grid | None = None) -> GridFunction:
@@ -78,7 +111,8 @@ def compose(f, phi: BiLipMap, out_grid: Grid | None = None) -> GridFunction:
     ``f`` may be a GridFunction (multilinear interpolation at the mapped
     cell centers, wrapping on periodic boxes) or a plain callable over
     (N, d) points (exact analytic composition). Mapped points leaving a
-    non-periodic window raise OutOfDomain.
+    non-periodic window raise OutOfDomain; a sample that is not finite
+    raises BadParameter.
     """
     if out_grid is None:
         if not isinstance(f, GridFunction):
@@ -94,6 +128,10 @@ def compose(f, phi: BiLipMap, out_grid: Grid | None = None) -> GridFunction:
         vals = interpolate(f.grid, f.values, pts)
     else:
         vals = np.asarray(f(pts), dtype=float)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = ", ".join(f"{x:g}" for x in pts[~finite][0])
+        raise BadParameter(f"{phi.name} sends a cell center to ({bad}), where f is not finite")
     return GridFunction(out_grid, vals)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import _BLOCK_CELLS, Grid, GridFunction, interpolate
 from .errors import BadParameter, NonPeriodic, OutOfDomain, StepTooLarge
-from .maps import VectorField, _rk4
+from .maps import MAX_STEPS, VectorField, _rk4
 from .fits import rms_relative
 
 if TYPE_CHECKING:
@@ -45,11 +45,6 @@ class TransportProblem:
             raise StepTooLarge(
                 f"step {self.step} too large for Lipschitz constant {self.v.lip}"
             )
-
-
-# a solve takes at most this many time steps, so every solve ends in
-# bounded time
-MAX_STEPS = 100_000
 
 
 def _check_times(times, t_end: float, step: float) -> None:
@@ -195,7 +190,8 @@ def solve_perturbed(
     steady divergence-free field, so the advection step is one sparse
     matrix built once. The closing half step of one step and the opening
     half step of the next are merged into one ``exp(dt * m)``; they are
-    split only where a snapshot is taken.
+    split only where a snapshot is taken. A field that overflows raises
+    BadParameter.
     """
     grid = omega0.grid
     if not grid.box.periodic:
@@ -221,15 +217,24 @@ def solve_perturbed(
     if last:
         advect = _advection_matrix(u_field, grid, dt)
         field = riesz.half_step(field, dt / 2.0)
-    for k in range(1, last + 1):
-        field = (advect @ field.ravel()).reshape(n, n)
-        if k not in want:
-            field = riesz.half_step(field, dt)
-            continue
-        field = riesz.half_step(field, dt / 2.0)
-        out[k] = GridFunction(grid, field.ravel())
-        if k < last:
-            field = riesz.half_step(field, dt / 2.0)
+    # m lies in [0, 1], so the field may grow like e^t; past t ~ 700 a field
+    # of size 1 overflows, which numpy flags (or a snapshot shows)
+    k = 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(1, last + 1):
+                field = (advect @ field.ravel()).reshape(n, n)
+                if k not in want:
+                    field = riesz.half_step(field, dt)
+                    continue
+                field = riesz.half_step(field, dt / 2.0)
+                if not np.isfinite(field).all():
+                    raise FloatingPointError
+                out[k] = GridFunction(grid, field.ravel())
+                if k < last:
+                    field = riesz.half_step(field, dt / 2.0)
+    except FloatingPointError:
+        raise BadParameter(f"the solution overflows by t = {k * dt:g}") from None
     return [out[int(round(t / dt))] for t in times]
 
 

@@ -304,6 +304,11 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["sweep", "--maps", "strain:t=1", "--seed", "-1", "--grid-n", "32"],
         ["seminorm", "--f", "log", "--radii", "0.5,nan", "--grid-n", "32"],
         ["carleson", "--map", "shear:lambda=1e200", "--grid-n", "32"],
+        # a flow map of more steps than the cap, a perturbed field that
+        # overflows, a composed function that is not finite
+        ["sweep", "--maps", "flow:t=1e5,amp=1e-9", "--grid-n", "32"],
+        ["perturbed", "--times", "0,400,800", "--dt", "0.5", "--grid-n", "32"],
+        ["sweep", "--maps", "translation:dx=1e300", "--grid-n", "32"],
         # empty ball families: no default radius fits, no center, no room
         ["seminorm", "--f", "log", "--grid-n", "16"],
         ["seminorm", "--f", "log", "--grid-n", "64", "--stride", "1000"],

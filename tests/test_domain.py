@@ -154,6 +154,39 @@ def test_translated_stencils_equal_cells_in_ball(box, n, stride):
     assert seen == len(fam)
 
 
+@pytest.mark.parametrize("box, n", [
+    (Box((0.0,), 1.0, periodic=True), 64), (Box((-1.0,), 2.0, periodic=False), 64),
+    (TORUS, 32), (WINDOW, 32), (Box((0.1, 0.3), 1.7, periodic=True), 32),
+    (Box((0.0, 0.0, 0.0), 1.0, periodic=True), 16), (Box((-1.0, -1.0, -1.0), 2.0), 16),
+])
+def test_ball_sums_match_gathered_row_sums(box, n):
+    # a family whose balls cross the seam of a torus, radius side/2, and a
+    # plain list of balls anywhere (on the window, across its edge)
+    g = Grid(box, n)
+    radii = [4 * g.h, 6.5 * g.h, box.side / 4] + ([box.side / 2] if box.periodic else [])
+    rng = np.random.default_rng(n)
+    low, side = np.asarray(box.lower), box.side
+    loose = [Ball(low + side * rng.choice([0.0, 0.5, 1.0, rng.random()], box.d),
+                  side * rng.uniform(0.1, 0.5)) for _ in range(30)]
+    fam = BallFamily(g, list(ball_family(g, 3, radii)) + loose)
+    cells = [cells_in_ball(g, b) for b in fam]
+    assert fam.counts.tolist() == [len(c) for c in cells]
+    positive = 1.0 + rng.random(g.size)
+    signed = rng.normal(size=g.size)
+    sums = fam.ball_sums(np.stack([positive, signed]))
+    assert sums.shape == (2, len(fam))
+    np.testing.assert_allclose(sums[0], [positive[c].sum() for c in cells], rtol=1e-12, atol=0)
+    # the documented rounding allowance, against exactly rounded sums
+    exact = np.array([math.fsum(signed[c]) for c in cells])
+    assert np.all(np.abs(sums[1] - exact) <= fam.sum_slack * fam.counts * np.abs(signed).max())
+    np.testing.assert_array_equal(fam.ball_sums(signed), sums[1])
+    # a family of one two-cell ball across the seam of the first axis: no
+    # run on the last axis reaches past its center cell
+    tiny = Ball(low + g.h * np.r_[n - 0.1, np.full(box.d - 1, 0.5)], 0.7 * g.h)
+    expect = positive[cells_in_ball(g, tiny)].sum()
+    assert BallFamily(g, [tiny]).ball_sums(positive)[0] == pytest.approx(expect, rel=1e-12)
+
+
 def test_ball_family_periodic_keeps_boundary_centers():
     g = Grid(TORUS, 64)
     fam = ball_family(g, 8, [8 * g.h])

@@ -8,9 +8,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from oscillab.carleson import CarlesonBox, CarlesonDensity, box_mass, carleson_norm
-from oscillab.cli import SweepSpec, run_sweep
+from oscillab.cli import SweepSpec, default_radii, run_sweep
 from oscillab.domain import (
     Ball,
+    BallFamily,
     Box,
     Grid,
     GridFunction,
@@ -294,3 +295,60 @@ def test_plain_list_matches_per_ball_loop(periodic, loose, lattice, p, a, seed):
     f, mu = _random_inputs(g, seed, "normal")
     _assert_engine_matches_loop(f, mu, OscillationParams(p=p, a=a),
                                 [balls[k] for k in order])
+
+
+def _gather_every_ball(monkeypatch):
+    """BallFamily.sup with the bound dropped, as the pruned engine's reference."""
+    sup = BallFamily.sup
+    monkeypatch.setattr(BallFamily, "sup", lambda self, rows, bound=None: sup(self, rows))
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("pattern", ["offset", "checker", "near-constant", "spike", "normal"])
+def test_pruned_sups_equal_a_gather_of_every_ball(monkeypatch, periodic, pattern):
+    # 1e6 + noise cancels in the variance of the bound; a checkerboard ties
+    # many balls, whose first (in family order) must stay the argmax; a
+    # near-constant field has oscillations at the rounding level; a lone
+    # spike beside a checkerboard has osc_3 > 1 = osc_3(checker) > osc_2
+    g = Grid(TORUS if periodic else WINDOW, 32)
+    radii = [4 * g.h, 6.5 * g.h, g.box.side / 4] + ([g.box.side / 2] if periodic else [])
+    fam = ball_family(g, 2, radii)
+    rng = np.random.default_rng(7)
+    i, j = np.indices((g.n, g.n))
+    checker = np.where((i + j) % 2 == 0, 1.0, -1.0)
+    spike = np.where(i < g.n // 2, checker, 0.0)
+    spike[3 * g.n // 4, g.n // 2] = 5.0
+    vals = {"offset": 1e6 + 1e-3 * rng.normal(size=g.size),
+            "checker": checker.ravel(),
+            "near-constant": 3.7 + 1e-13 * rng.normal(size=g.size),
+            "spike": spike.ravel(),
+            "normal": rng.normal(size=g.size)}[pattern]
+    f = GridFunction(g, vals)
+    mu = CarlesonDensity(g, g.box.side / 2.0, np.stack([vals] * 3) * rng.random(3)[:, None])
+    cases = [OscillationParams(p=p, a=a) for p in (1.0, 1.5, 2.0, 3.0) for a in (0.0, 0.5, 1.0)]
+    pruned = [seminorm(f, params, fam) for params in cases] + [carleson_norm(mu, fam)]
+    _gather_every_ball(monkeypatch)
+    full = [seminorm(f, params, fam) for params in cases] + [carleson_norm(mu, fam)]
+    for a, b in zip(pruned, full):
+        assert (a.value, a.argmax_ball) == (b.value, b.argmax_ball)
+
+
+def test_pruned_seminorm_gathers_few_balls(monkeypatch):
+    # the default torus family at n = 256, stride 16: for p <= 2 the bound
+    # leaves fewer than 5% of the balls to gather; p > 2 gathers them all
+    g = Grid(TORUS, 256)
+    fam = ball_family(g, 16, default_radii(g))
+    f = GridFunction.from_callable(g, builtin_function("trig", g, seed=3))
+    sup, gathered = BallFamily.sup, []
+
+    def counting(self, rows, bound=None):
+        return sup(self, lambda ball, idx: (gathered.append(len(idx)), rows(ball, idx))[1], bound)
+
+    monkeypatch.setattr(BallFamily, "sup", counting)
+    for p in (1.0, 2.0):
+        gathered.clear()
+        seminorm(f, OscillationParams(p=p), fam)
+        assert sum(gathered) < 0.05 * len(fam)
+    gathered.clear()
+    seminorm(f, OscillationParams(p=3.0), fam)
+    assert sum(gathered) == len(fam)
