@@ -176,6 +176,8 @@ class SweepSpec:
             bad.append(f"kind={self.kind!r}")
         if self.seed < 0:
             bad.append(f"seed={self.seed} (must be nonnegative)")
+        if self.grid_n > 2048:  # a 2048^2 field is 32 MiB; a larger grid is refused unallocated
+            bad.append(f"grid_n={self.grid_n} (at most 2048)")
         if not all(0 < r < math.inf for r in self.radii):
             radii = ",".join(f"{r:g}" for r in self.radii)
             bad.append(f"radii={radii} (each must be finite and positive)")

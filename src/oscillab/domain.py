@@ -259,11 +259,11 @@ _BLOCK_CELLS = 1 << 16
 
 
 class _Group(NamedTuple):
-    """Balls that are lattice translates of each other, at compiled positions
-    ``start``, ``start + 1``, ...; ``runs`` cuts their stencil into stretches
-    of consecutive cells along the last axis."""
+    """Balls that are lattice translates of each other, at the family
+    positions ``members``; ``runs`` cuts their stencil into stretches of
+    consecutive cells along the last axis."""
 
-    start: int
+    members: np.ndarray  # (balls,) family positions, ascending
     cells: np.ndarray  # (balls, d) center cells
     offsets: np.ndarray  # (c, d) cell offsets from the center, in stencil order
     stencil: np.ndarray  # (c,) flat cell offsets, ascending
@@ -271,7 +271,8 @@ class _Group(NamedTuple):
 
 
 class BallFamily(Sequence):
-    """Immutable ball family compiled for one grid.
+    """Immutable ball family compiled for one grid, from the (k, d) array of
+    its centers and the (k,) array of its radii.
 
     Balls that are lattice translates of each other (same radius, same
     sub-cell center offset, the same verdict of ``cells_in_ball``'s test on
@@ -279,20 +280,19 @@ class BallFamily(Sequence):
     bounding box of cells inside it) form a group that stores integer center
     cells and one stencil of cell offsets, taken from ``cells_in_ball`` on
     the group's first ball. Any other ball is a group of its own. As a
-    sequence it holds the balls in the order they were given; ``radii``,
-    ``volumes`` and ``counts`` hold each ball's radius, volume and number of
-    cells in that order.
+    sequence it holds the balls in the order they were given, each built as
+    a ``Ball`` when asked for; ``radii``, ``volumes`` and ``counts`` hold
+    each ball's radius, volume and number of cells in that order.
     """
 
-    def __init__(self, grid: Grid, balls):
+    def __init__(self, grid: Grid, centers, radii):
         self.grid = grid
-        self._balls = tuple(balls)
-        if not self._balls:
-            raise EmptyFamily("ball family is empty")
         n, h, d = grid.n, grid.h, grid.d
+        self.centers = centers = np.asarray(centers, dtype=float).reshape(-1, d)
+        self.radii = radii = np.asarray(radii, dtype=float)
+        if not len(radii):
+            raise EmptyFamily("ball family is empty")
         low = np.asarray(grid.box.lower)
-        centers = np.array([b.center for b in self._balls], dtype=float).reshape(-1, d)
-        radii = np.array([b.radius for b in self._balls])
         u = (centers - low) / h - 0.5
         cells = np.rint(u)
         offset = u - cells
@@ -313,16 +313,14 @@ class BallFamily(Sequence):
             groups.setdefault(-k - 1 if alone[k] else key, []).append(k)
         self._strides = n ** np.arange(d - 1, -1, -1)
         self._groups = []
-        self.radii = radii
         self.counts = np.empty(len(radii), dtype=np.intp)
         self.volumes = np.empty(len(radii))
         parts = [part for members in groups.values()
                  for part in _agreeing(grid, members, centers, cells, offset, radii)]
-        order, start = [], 0
         for members in parts:
-            first = members[0]
-            found = cells_in_ball(grid, self._balls[first])
-            offsets = np.stack(np.unravel_index(found, (n,) * d), axis=-1) - cells[first]
+            first = self[members[0]]
+            found = cells_in_ball(grid, first)
+            offsets = np.stack(np.unravel_index(found, (n,) * d), axis=-1) - cells[members[0]]
             if grid.box.periodic:
                 offsets = (offsets + n // 2) % n - n // 2  # shortest wrap
             stencil = offsets @ self._strides
@@ -333,12 +331,10 @@ class BallFamily(Sequence):
                                  | (np.diff(offsets[:, -1]) != 1)) + 1
             ends = np.r_[cut, len(offsets)] - 1
             runs = np.column_stack([offsets[np.r_[0, cut]], offsets[ends, -1]])
-            self._groups.append(_Group(start, cells[members], offsets, stencil, runs))
+            members = np.array(members)
+            self._groups.append(_Group(members, cells[members], offsets, stencil, runs))
             self.counts[members] = len(stencil)
-            self.volumes[members] = self._balls[first].volume
-            order += members
-            start += len(members)
-        self.order = np.array(order)
+            self.volumes[members] = first.volume
         # ball_sums pads a torus row on each side by the farthest run end
         self._margin = 0
         if grid.box.periodic:
@@ -354,39 +350,32 @@ class BallFamily(Sequence):
         self.sum_slack = 8 * np.finfo(float).eps * (w * w + int(self.counts.max()))
 
     def __len__(self) -> int:
-        return len(self._balls)
+        return len(self.radii)
 
-    def __getitem__(self, i):
-        return self._balls[i]
+    def __getitem__(self, i) -> Ball:
+        return Ball(tuple(self.centers[i].tolist()), float(self.radii[i]))
 
-    def blocks(self):
-        """Yield (start, stop, idx): ``idx[k]`` holds the flat cell indices of
-        the ball at compiled position ``start + k`` in ``cells_in_ball`` order.
+    def blocks(self, select=None):
+        """Yield (balls, idx): ``idx[k]`` holds the flat cell indices of the
+        ball at family position ``balls[k]``, in ``cells_in_ball`` order.
 
-        Compiled position j is ball ``self[self.order[j]]``; one block never
-        spans two groups and holds at most about ``_BLOCK_CELLS`` cells.
-        """
-        for pos, idx in self._blocks(np.arange(len(self))):
-            yield int(pos[0]), int(pos[-1]) + 1, idx
-
-    def _blocks(self, positions: np.ndarray):
-        """Yield (pos, idx) over the ascending compiled ``positions``, in
-        blocks of at most about ``_BLOCK_CELLS`` cells within one group:
-        ``idx[k]`` holds the flat cell indices of position ``pos[k]``.
-
-        On a torus, a ball that crosses the seam has its cells wrapped axis
-        by axis and sorted back into ascending (``cells_in_ball``) order; its
-        wrapped stencil is a few ascending runs, which a stable sort merges
-        in close to linear time.
+        ``select``, a boolean mask over the family, keeps only the balls it
+        marks. One block never spans two groups and holds at most about
+        ``_BLOCK_CELLS`` cells. On a torus, a ball that crosses the seam has
+        its cells wrapped axis by axis and sorted back into ascending
+        (``cells_in_ball``) order; its wrapped stencil is a few ascending
+        runs, which a stable sort merges in close to linear time.
         """
         n, d = self.grid.n, self.grid.d
-        ends = np.searchsorted(positions, [g.start for g in self._groups] + [len(self)])
-        for group, first, stop in zip(self._groups, ends[:-1], ends[1:]):
+        for group in self._groups:
+            members, cells = group.members, group.cells
+            if select is not None:
+                keep = select[members]
+                members, cells = members[keep], cells[keep]
             per = max(1, _BLOCK_CELLS // len(group.stencil))
             lowest, highest = group.offsets.min(axis=0), group.offsets.max(axis=0)
-            for lo in range(first, stop, per):
-                pos = positions[lo:min(lo + per, stop)]
-                block = group.cells[pos - group.start]
+            for lo in range(0, len(members), per):
+                block = cells[lo:lo + per]
                 idx = (block @ self._strides)[:, None] + group.stencil
                 if self.grid.box.periodic:
                     wraps = np.any((block + lowest < 0) | (block + highest >= n), axis=1)
@@ -396,7 +385,7 @@ class BallFamily(Sequence):
                         for k in range(d):
                             flat = flat * n + ((moved[:, k, None] + group.offsets[:, k]) & (n - 1))
                         idx[wraps] = np.sort(flat, axis=1, kind="stable")
-                yield pos, idx
+                yield members[lo:lo + per], idx
 
     def ball_sums(self, values) -> np.ndarray:
         """Sums of ``values`` (shape (..., n^d)) over the cells of each ball,
@@ -431,53 +420,43 @@ class BallFamily(Sequence):
                     row = row * n + (i & (n - 1) if periodic else i)
                 base = row * width + block[:, -1, None] + m
                 first, past = base + runs[:, -2], base + runs[:, -1] + 1
-                at = self.order[group.start + lo:group.start + lo + len(block)]
+                at = group.members[lo:lo + per]
                 for sums, field in zip(out, prefix):
                     sums[at] = (field.take(past) - field.take(first)).sum(axis=1)
         return out.reshape(values.shape[:-1] + (len(self),))
 
-    def sup(self, rows, bound=None) -> tuple:
+    def sup(self, rows, bound) -> tuple:
         """Largest value over the family and the first ball (in family order)
         that attains it; ``rows(ball, idx)`` returns the values of the balls
         whose cells ``idx`` holds, one row each, all of the radius of ``ball``.
 
-        ``bound``, if given, holds an upper bound on each ball's value as
-        ``rows`` computes it, in family order; ``seminorm`` (p <= 2) and
-        ``carleson_norm`` build theirs from ``ball_sums`` with ``sum_slack``
-        added for rounding. Then the ball with the top bound in each group is
-        gathered first, and after that only the balls whose bound reaches
-        the best value found so far. A ball left out is below that value and
-        a gathered one is reduced as before, so value and argmax equal those
-        of a gather of every ball, bit for bit. With no bound (``seminorm``
-        at p > 2) every ball is gathered.
+        ``bound`` holds an upper bound on each ball's value as ``rows``
+        computes it, in family order; ``seminorm`` and ``carleson_norm``
+        build theirs from ``ball_sums`` with ``sum_slack`` added for
+        rounding, and an infinite bound gathers every ball. The ball with the
+        top bound in each group is gathered first, and after that only the
+        balls whose bound reaches the best value found so far. A ball left
+        out is below that value and a gathered one is reduced as before, so
+        value and argmax equal those of a gather of every ball, bit for bit.
         """
         vals = np.full(len(self), -np.inf)
-        if bound is None:
-            self._fill(rows, vals, np.arange(len(self)))
-        else:
-            bound = np.asarray(bound)[self.order]
-            tops = [g.start + int(np.argmax(bound[g.start:g.start + len(g.cells)]))
-                    for g in self._groups]
-            self._fill(rows, vals, np.array(tops))
-            reach = bound >= vals.max()
-            reach[tops] = False
-            self._fill(rows, vals, np.flatnonzero(reach))
+        select = np.zeros(len(self), dtype=bool)
+        select[[g.members[np.argmax(bound[g.members])] for g in self._groups]] = True
+        for _ in range(2):
+            for balls, idx in self.blocks(select):
+                vals[balls] = rows(self[balls[0]], idx)
+            # then the balls not yet gathered whose bound reaches the best value
+            select = (bound >= vals.max()) & np.isneginf(vals)
         k = int(np.argmax(vals))
-        return float(vals[k]), self._balls[k]
-
-    def _fill(self, rows, vals: np.ndarray, positions: np.ndarray) -> None:
-        """``vals`` (family order) at the ascending compiled ``positions``,
-        computed by ``rows`` block by block."""
-        for pos, idx in self._blocks(positions):
-            at = self.order[pos]
-            vals[at] = rows(self._balls[at[0]], idx)
+        return float(vals[k]), self[k]
 
     @classmethod
-    def on(cls, grid: Grid, family) -> "BallFamily":
-        """``family`` compiled for ``grid``; a family already compiled for it is reused."""
-        if isinstance(family, BallFamily) and family.grid == grid:
-            return family
-        return cls(grid, family)
+    def on(cls, grid: Grid, balls) -> "BallFamily":
+        """``balls`` compiled for ``grid``; a family already compiled for it is reused."""
+        if isinstance(balls, BallFamily) and balls.grid == grid:
+            return balls
+        balls = list(balls)
+        return cls(grid, [b.center for b in balls], [b.radius for b in balls])
 
 
 def _agreeing(grid: Grid, members: list, centers, cells, offset, radii) -> list:
@@ -525,26 +504,24 @@ def ball_family(grid: Grid, centers_stride: int, radii) -> BallFamily:
             raise BadRadius(f"radius {r} below 4h = {4 * h}")
         if r > grid.box.side / 2 + 1e-12:
             raise BadRadius(f"radius {r} above half the box side")
+    if not radii:
+        raise EmptyFamily("ball family is empty: no radius given")
     low = np.asarray(grid.box.lower)
     idx = np.arange(centers_stride // 2, grid.n, centers_stride)
     axes = [low[k] + (idx + 0.5) * h for k in range(grid.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    balls = []
-    for r in radii:
-        keep = centers
-        if not grid.box.periodic:
-            inside = (centers - low >= r) & (low + grid.box.side - centers >= r)
-            keep = centers[np.all(inside, axis=1)]
-        balls += [Ball(tuple(c), r) for c in keep]
-    if not radii:
-        raise EmptyFamily("ball family is empty: no radius given")
-    if not balls:
+    keep = [centers] * len(radii)
+    if not grid.box.periodic:
+        keep = [centers[np.all((centers - low >= r) & (low + grid.box.side - centers >= r), axis=1)]
+                for r in radii]
+    sizes = [len(c) for c in keep]
+    if not sum(sizes):
         raise EmptyFamily(
             f"ball family is empty: no ball of radius {', '.join(f'{r:g}' for r in radii)} "
             f"with center stride {centers_stride} fits the grid"
         )
-    return BallFamily(grid, balls)
+    return BallFamily(grid, np.concatenate(keep), np.repeat(radii, sizes))
 
 
 def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -552,12 +529,21 @@ def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarra
 
     Periodic boxes wrap; non-periodic ones clamp to the outer half-cell so
     that every point of the closed window is valid (the caller is expected to
-    have range-checked points against the window).
+    have range-checked points against the window). On a periodic box a
+    point 2^52 cells or more from the lower corner raises BadParameter:
+    there consecutive float64 values are a cell or more apart, so the point
+    has lost its cell (and the cell index would overflow from about 2^63).
     """
     n, h, d = grid.n, grid.h, grid.d
     low = np.asarray(grid.box.lower)
     field = np.asarray(values).reshape((n,) * d)
-    u = (np.asarray(points) - low) / h - 0.5
+    points = np.asarray(points)
+    u = (points - low) / h - 0.5
+    if grid.box.periodic:
+        far = ~np.all(np.abs(u) < 2.0**52, axis=1)
+        if far.any():
+            bad = ", ".join(f"{x:g}" for x in points[far][0])
+            raise BadParameter(f"point ({bad}) is too far from the box to place in a cell")
     i0 = np.floor(u).astype(np.intp)
     w = u - i0
     if grid.box.periodic:

@@ -9,13 +9,14 @@ inequality checks are phrased so that this bias is conservative.
 The sup is computed over a ``BallFamily`` compiled once per grid: each
 block of balls is one gather of (balls x cells) values followed by row
 means, in the cell order of ``cells_in_ball``, so the result equals a loop
-of ``ball_oscillation`` over the family bit for bit. For p <= 2 only the
-balls that can reach the sup are gathered: the power-mean inequality
-osc_p <= osc_2 bounds each ball, and osc_2 comes from prefix-sum ball sums
-of f - mean f and its square (``BallFamily.ball_sums``). The bound carries a
-slack above the worst rounding of those sums and of the gathered reduction,
-so the balls left out are below the sup and the result stays bit-identical.
-For p > 2 osc_2 bounds nothing, and every ball is gathered.
+of ``ball_oscillation`` over the family bit for bit. Only the balls that
+can reach the sup are gathered. Each ball's bound comes from osc_2, read
+from prefix-sum ball sums of f - mean f and its square
+(``BallFamily.ball_sums``): osc_p <= osc_2 for p <= 2 (power means), and
+osc_p <= max|dev|^(1 - 2/p) osc_2^(2/p) for p > 2, with max|dev| at most
+max f - min f. The bound carries a slack above the worst rounding of those
+sums and of the gathered reduction, so the balls left out are below the sup
+and the result stays bit-identical.
 """
 
 from __future__ import annotations
@@ -75,22 +76,27 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEsti
         osc = [m**inv_p for m in dev.mean(axis=1).tolist()]
         return np.array(osc) / ball.volume**scale
 
-    bound = None
-    if params.p <= 2:
-        bound = _oscillation_bound(f, family) / family.volumes**scale
+    bound = _oscillation_bound(f, family, params.p) / family.volumes**scale
     value, ball = family.sup(rows, bound)
     return SeminormEstimate(value, ball)
 
 
-def _oscillation_bound(f: GridFunction, family: BallFamily) -> np.ndarray:
+def _oscillation_bound(f: GridFunction, family: BallFamily, p: float) -> np.ndarray:
     """Per ball (family order), an upper bound on the L^p oscillation that a
-    gather computes, for any p <= 2: osc_p <= osc_2 (power means).
+    gather computes: osc_p <= max|dev|^e osc_2^(1 - e), e = max(0, 1 - 2/p).
 
-    osc_2 comes from ball sums of z = (f - mean f) / max|f - mean f| and
-    z^2, with ``sum_slack`` added to the variance of z for their rounding.
-    A gathered ball mean of c cells is off by at most c eps max|f|, which
-    raises osc_2 to its hypot with that offset; the factor 1 + sum_slack
-    covers the rounding of the gathered reduction and of this bound.
+    For p <= 2 (e = 0) this is osc_p <= osc_2 (power means); for p > 2 it
+    is mean|dev|^p <= max|dev|^(p - 2) mean dev^2. osc_2 comes from ball
+    sums of z = (f - mean f) / max|f - mean f| and z^2, with ``sum_slack``
+    added to the variance of z for their rounding. A gathered ball mean of
+    c cells is off by at most c eps max|f|, less than ``offset``: that
+    raises osc_2 to its hypot with ``offset``, and max|dev| to at most
+    max f - min f + ``offset``. The factor 1 + sum_slack covers the
+    relative rounding, a few c eps, of the gathered deviations, powers,
+    mean and root, and of this bound's own powers; at e = 0 the factor
+    max|dev|^e is exactly 1. Where a gathered sum of c powers |dev|^p could
+    reach 2^1023 and overflow to inf, the bound is inf: every ball is
+    gathered.
     """
     z = np.empty((2, f.values.size))
     np.subtract(f.values, f.values.mean(), out=z[0])
@@ -102,7 +108,12 @@ def _oscillation_bound(f: GridFunction, family: BallFamily) -> np.ndarray:
     c, slack = family.counts, family.sum_slack
     var = np.maximum(s2 / c - (s1 / c) ** 2, 0.0) + slack
     offset = 2 * np.finfo(float).eps * c * np.abs(f.values).max()
-    return np.hypot(top * np.sqrt(var), offset) * (1 + slack)
+    span = float(f.values.max() - f.values.min())
+    reach = span + float(offset.max())
+    if reach > 0 and p * math.log2(reach) + math.log2(c.max()) >= 1023:
+        return np.full(len(c), np.inf)  # a gathered sum of |dev|^p may overflow
+    e = max(0.0, 1.0 - 2.0 / p)
+    return (span + offset) ** e * np.hypot(top * np.sqrt(var), offset) ** (1 - e) * (1 + slack)
 
 
 def compose(f, phi: BiLipMap, out_grid: Grid | None = None) -> GridFunction:

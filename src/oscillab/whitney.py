@@ -159,8 +159,7 @@ def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") ->
     balls = [Ball(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
 
     covered = np.zeros(grid.size, dtype=bool)
-    doubled = [Ball(b.center, 2.0 * b.radius) for b in balls]
-    for _, _, idx in BallFamily(grid, doubled).blocks():
+    for _, idx in BallFamily(grid, centers, 2.0 * radii).blocks():
         covered[idx] = True
     uncovered = float((mask.bits & ~covered).sum()) / mask.count
     return WhitneyCover(balls, source_ball, map_name, ratios, uncovered)
@@ -213,7 +212,7 @@ def check_cover_invariants(cover: WhitneyCover, mask: PixelMask) -> dict:
     radii = cover.radii
     centers = np.array([b.center for b in cover.balls])
     contain_bad = 0
-    for _, _, idx in BallFamily(mask.grid, cover.balls).blocks():
+    for _, idx in BallFamily(mask.grid, centers, radii).blocks():
         contain_bad += int((~mask.bits[idx]).sum())
     return {
         "min_gap": _min_gap(centers, radii, mask.grid.box),

@@ -253,6 +253,10 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
     bad_spec.write_text("kind=covering\ngrid_n=abc\n")
     line_box = tmp_path / "line.txt"
     line_box.write_text("kind=covering\nmaps=shear:lambda=1\nbox_lower=0\n")
+    far_torus = tmp_path / "far.txt"
+    far_torus.write_text("kind=bmo-composition\nperiodic=true\nbox_lower=0,0\nbox_side=1\n"
+                         "maps=translation:dx=1e300\nfunctions=checker\ngrid_n=32\n")
+    torus = ["--periodic", "--box-lower", "0", "0", "--box-side", "1", "--grid-n", "32"]
     bad_inputs = [
         ["whitney", "--map", "wormhole", "--ball", "0,0,0.2"],
         ["seminorm", "--f", "wormhole", "--grid-n", "32"],
@@ -309,6 +313,12 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["sweep", "--maps", "flow:t=1e5,amp=1e-9", "--grid-n", "32"],
         ["perturbed", "--times", "0,400,800", "--dt", "0.5", "--grid-n", "32"],
         ["sweep", "--maps", "translation:dx=1e300", "--grid-n", "32"],
+        # a gridded function or density on a torus, mapped too far to find its cell
+        ["sweep", "--spec", str(far_torus)],
+        ["carleson", "--density", "bmo", *torus, "--map", "translation:dx=1e300"],
+        ["carleson", "--density", "bmo", *torus, "--map", "translation:dx=1e17"],
+        # a grid too large to allocate, rejected before anything is
+        ["seminorm", "--f", "log", "--grid-n", "1048576"],
         # empty ball families: no default radius fits, no center, no room
         ["seminorm", "--f", "log", "--grid-n", "16"],
         ["seminorm", "--f", "log", "--grid-n", "64", "--stride", "1000"],

@@ -129,7 +129,7 @@ def test_ball_family_empty_is_an_error():
     with pytest.raises(EmptyFamily):
         ball_family(g, 16, [])
     with pytest.raises(EmptyFamily):
-        BallFamily(g, [])
+        BallFamily.on(g, [])
 
 
 @pytest.mark.parametrize("box, n, stride", [
@@ -147,8 +147,8 @@ def test_translated_stencils_equal_cells_in_ball(box, n, stride):
     fam = ball_family(g, stride, radii)
     assert len(fam._groups) == len(radii)  # one stencil per radius
     seen = 0
-    for start, stop, idx in fam.blocks():
-        for k, row in zip(fam.order[start:stop], idx):
+    for balls, idx in fam.blocks():
+        for k, row in zip(balls, idx):
             assert np.array_equal(row, cells_in_ball(g, fam[k]))
             seen += 1
     assert seen == len(fam)
@@ -168,7 +168,7 @@ def test_ball_sums_match_gathered_row_sums(box, n):
     low, side = np.asarray(box.lower), box.side
     loose = [Ball(low + side * rng.choice([0.0, 0.5, 1.0, rng.random()], box.d),
                   side * rng.uniform(0.1, 0.5)) for _ in range(30)]
-    fam = BallFamily(g, list(ball_family(g, 3, radii)) + loose)
+    fam = BallFamily.on(g, list(ball_family(g, 3, radii)) + loose)
     cells = [cells_in_ball(g, b) for b in fam]
     assert fam.counts.tolist() == [len(c) for c in cells]
     positive = 1.0 + rng.random(g.size)
@@ -184,7 +184,7 @@ def test_ball_sums_match_gathered_row_sums(box, n):
     # run on the last axis reaches past its center cell
     tiny = Ball(low + g.h * np.r_[n - 0.1, np.full(box.d - 1, 0.5)], 0.7 * g.h)
     expect = positive[cells_in_ball(g, tiny)].sum()
-    assert BallFamily(g, [tiny]).ball_sums(positive)[0] == pytest.approx(expect, rel=1e-12)
+    assert BallFamily.on(g, [tiny]).ball_sums(positive)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_ball_family_periodic_keeps_boundary_centers():

@@ -298,9 +298,10 @@ def test_plain_list_matches_per_ball_loop(periodic, loose, lattice, p, a, seed):
 
 
 def _gather_every_ball(monkeypatch):
-    """BallFamily.sup with the bound dropped, as the pruned engine's reference."""
+    """BallFamily.sup with an infinite bound, as the pruned engine's reference."""
     sup = BallFamily.sup
-    monkeypatch.setattr(BallFamily, "sup", lambda self, rows, bound=None: sup(self, rows))
+    monkeypatch.setattr(BallFamily, "sup",
+                        lambda self, rows, bound: sup(self, rows, np.full(len(self), np.inf)))
 
 
 @pytest.mark.parametrize("periodic", [False, True])
@@ -325,7 +326,8 @@ def test_pruned_sups_equal_a_gather_of_every_ball(monkeypatch, periodic, pattern
             "normal": rng.normal(size=g.size)}[pattern]
     f = GridFunction(g, vals)
     mu = CarlesonDensity(g, g.box.side / 2.0, np.stack([vals] * 3) * rng.random(3)[:, None])
-    cases = [OscillationParams(p=p, a=a) for p in (1.0, 1.5, 2.0, 3.0) for a in (0.0, 0.5, 1.0)]
+    cases = [OscillationParams(p=p, a=a)
+             for p in (1.0, 1.5, 2.0, 2.5, 3.0, 6.0) for a in (0.0, 0.5, 1.0)]
     pruned = [seminorm(f, params, fam) for params in cases] + [carleson_norm(mu, fam)]
     _gather_every_ball(monkeypatch)
     full = [seminorm(f, params, fam) for params in cases] + [carleson_norm(mu, fam)]
@@ -335,7 +337,7 @@ def test_pruned_sups_equal_a_gather_of_every_ball(monkeypatch, periodic, pattern
 
 def test_pruned_seminorm_gathers_few_balls(monkeypatch):
     # the default torus family at n = 256, stride 16: for p <= 2 the bound
-    # leaves fewer than 5% of the balls to gather; p > 2 gathers them all
+    # leaves fewer than 5% of the balls to gather, and p = 3 fewer than half
     g = Grid(TORUS, 256)
     fam = ball_family(g, 16, default_radii(g))
     f = GridFunction.from_callable(g, builtin_function("trig", g, seed=3))
@@ -351,4 +353,19 @@ def test_pruned_seminorm_gathers_few_balls(monkeypatch):
         assert sum(gathered) < 0.05 * len(fam)
     gathered.clear()
     seminorm(f, OscillationParams(p=3.0), fam)
-    assert sum(gathered) == len(fam)
+    assert sum(gathered) < 0.5 * len(fam)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_overflowing_powers_gather_every_ball(monkeypatch, periodic):
+    # at p = 1000 a deviation of 3 already overflows |dev|^p, so many balls
+    # compute inf; the first of them in family order must stay the argmax
+    g = Grid(TORUS if periodic else WINDOW, 32)
+    fam = ball_family(g, 2, [4 * g.h, 6.5 * g.h, g.box.side / 4])
+    f = GridFunction(g, np.random.default_rng(5).normal(size=g.size))
+    with np.errstate(over="ignore"):
+        pruned = [seminorm(f, OscillationParams(p=p), fam) for p in (1000.0, 1e6)]
+        _gather_every_ball(monkeypatch)
+        full = [seminorm(f, OscillationParams(p=p), fam) for p in (1000.0, 1e6)]
+    for a, b in zip(pruned, full):
+        assert (a.value, a.argmax_ball) == (b.value, b.argmax_ball)
