@@ -130,7 +130,7 @@ def carleson_norm(mu: CarlesonDensity, family) -> CarlesonNorm:
     def rows(ball: Ball, idx: np.ndarray) -> np.ndarray:
         return fields[ball.radius][idx].sum(axis=1) / ball.volume
 
-    mass = family.ball_sums(w)[which, np.arange(len(family))]
+    mass = family.ball_sums(w, which)
     slack = family.sum_slack
     top = w.max(axis=1)[which]
     bound = (mass * (1 + slack) + slack * family.counts * top) / family.volumes

@@ -27,9 +27,9 @@ import numpy as np
 from . import carleson as carl
 from . import corpus, maps
 from .domain import Ball, Box, Grid, GridFunction, ball_family
-from .errors import OscillabError, SpecError, UnknownName, ZeroSeminorm
+from .errors import BadParameter, OscillabError, SpecError, UnknownName, ZeroSeminorm
 from .fits import FitResult, fit_models
-from .oscillation import OscillationParams, compose, seminorm
+from .oscillation import OscillationParams, SeminormEstimate, compose, seminorm
 from .transport import (
     TransportProblem,
     perturbed_growth_comparison,
@@ -274,18 +274,27 @@ def _growth_fits(points: dict, grid: Grid) -> dict:
             for key, pts in sorted(points.items()) if len(pts) >= 4}
 
 
+def _seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEstimate:
+    """``seminorm``, with a value that overflows an error."""
+    est = seminorm(f, params, family)
+    if not math.isfinite(est.value):
+        raise BadParameter(f"the oscillation overflows at p {params.p:g}: "
+                           "a deviation to the power p exceeds the float range")
+    return est
+
+
 def _run_composition(spec: SweepSpec, grid: Grid):
     family = spec.family(grid)
     params = OscillationParams(p=spec.p, a=spec.a)
     rows, points = [], {}
     for fname in spec.functions:
         fn, f = _resolve_function(fname, grid)
-        s_in = seminorm(f, params, family).value
+        s_in = _seminorm(f, params, family).value
         for mspec in spec.maps:
             phi = parse_map(mspec)
             if s_in <= 0:
                 raise ZeroSeminorm("cannot form a composition ratio for a constant")
-            ratio = seminorm(compose(fn, phi, grid), params, family).value / s_in
+            ratio = _seminorm(compose(fn, phi, grid), params, family).value / s_in
             k_est = maps.estimate_K(phi, seed=spec.seed, box=grid.box)
             rows.append({"map": phi.name, "params": mspec, "function": fname,
                          "K_analytic": phi.K, "K_estimated": k_est, "seminorm_in": s_in,
@@ -336,11 +345,11 @@ def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
     fn, u0 = _resolve_function(spec.functions[0], grid)
     family = spec.family(grid)
     params = OscillationParams(p=spec.p, a=spec.a)
-    base = seminorm(u0, params, family).value
+    base = _seminorm(u0, params, family).value
     rows, pts = [], []
     for t, u in zip(spec.times, solve(spec, grid, v, fn, u0)):
         # a snapshot equal to u0 (the t = 0 rows) reuses its seminorm
-        val = base if np.array_equal(u.values, u0.values) else seminorm(u, params, family).value
+        val = base if np.array_equal(u.values, u0.values) else _seminorm(u, params, family).value
         rows.append({"t": t, "seminorm": val, "ratio": val / base,
                      "l2": float(np.sqrt(np.mean(u.values**2))),
                      "min": float(u.values.min()), "max": float(u.values.max())})
@@ -449,7 +458,7 @@ def _cmd_seminorm(args) -> int:
     spec = _spec(args)
     grid = spec.grid()
     _, f = _resolve_function(args.f, grid)
-    est = seminorm(f, OscillationParams(p=spec.p, a=spec.a), spec.family(grid))
+    est = _seminorm(f, OscillationParams(p=spec.p, a=spec.a), spec.family(grid))
     print("name,p,a,seminorm,argmax_center,argmax_radius")
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
     print(f"{args.f},{spec.p:g},{spec.a:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}")
@@ -468,11 +477,10 @@ def _cmd_whitney(args) -> int:
     cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
     with _output(spec.out) as stream:
         stream.write("k,center_x,center_y,radius,dist_to_complement\n")
-        for k, (b, ratio) in enumerate(zip(cover.balls, cover.whitney_ratios)):
-            dist = 2.0 * b.radius / ratio
-            stream.write(
-                f"{k},{b.center[0]:.10g},{b.center[1]:.10g},{b.radius:.10g},{dist:.10g}\n"
-            )
+        dist = 2.0 * cover.radii / cover.whitney_ratios
+        rows = zip(cover.centers.tolist(), cover.radii.tolist(), dist.tolist())
+        for k, ((x, y), r, to_complement) in enumerate(rows):
+            stream.write(f"{k},{x:.10g},{y:.10g},{r:.10g},{to_complement:.10g}\n")
         stat = covering_statistic(cover, a=spec.a, p=spec.p)
         stream.write(f"# covering_statistic,{stat:.10g}\n")
         stream.write(f"# uncovered_fraction,{cover.uncovered_fraction:.10g}\n")

@@ -306,16 +306,22 @@ class BallFamily(Sequence):
             i_hi = np.ceil((centers + radii[:, None] - low) / h - 0.5)
             alone = np.any((i_lo < 0) | (i_hi > n - 1), axis=1)
         # offsets equal up to rounding share a key (their tie cells are
-        # checked below); a ball that is nobody's translate gets its own key
-        keys = zip(radii.tolist(), map(tuple, np.round(offset, 12).tolist()))
-        groups = {}
-        for k, key in enumerate(keys):
-            groups.setdefault(-k - 1 if alone[k] else key, []).append(k)
+        # checked below); a ball that is nobody's translate is a group of its
+        # own. A group is ranked by its first ball, and keeps its balls in
+        # family order.
+        rank = np.arange(len(radii))
+        shared = np.flatnonzero(~alone)
+        if len(shared):
+            keys = np.column_stack([radii, np.round(offset, 12) + 0.0])[shared]  # -0.0 as 0.0
+            _, head, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            rank[shared] = shared[head][key.reshape(-1)]
+        order = np.argsort(rank, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(rank[order])) + 1)
         self._strides = n ** np.arange(d - 1, -1, -1)
         self._groups = []
         self.counts = np.empty(len(radii), dtype=np.intp)
         self.volumes = np.empty(len(radii))
-        parts = [part for members in groups.values()
+        parts = [part for members in groups
                  for part in _agreeing(grid, members, centers, cells, offset, radii)]
         for members in parts:
             first = self[members[0]]
@@ -387,9 +393,12 @@ class BallFamily(Sequence):
                         idx[wraps] = np.sort(flat, axis=1, kind="stable")
                 yield members[lo:lo + per], idx
 
-    def ball_sums(self, values) -> np.ndarray:
+    def ball_sums(self, values, which=None) -> np.ndarray:
         """Sums of ``values`` (shape (..., n^d)) over the cells of each ball,
-        shape (..., len(self)) in family order.
+        shape (..., len(self)) in family order. With ``which``, one index per
+        ball into the rows of a 2-D ``values`` that is the same for every
+        ball of a group (as one per radius is), each ball is summed over its
+        own row only, shape (len(self),).
 
         A ball's sum takes one difference of prefix sums along the last axis
         per run of its stencil: about 2R + 1 lookups for a ball R cells wide,
@@ -408,7 +417,7 @@ class BallFamily(Sequence):
         prefix = np.zeros(lines.shape[:-1] + (width,))
         np.cumsum(lines, axis=-1, out=prefix[..., 1:])
         prefix = prefix.reshape(len(prefix), -1)
-        out = np.empty((len(prefix), len(self)))
+        out = np.empty((len(prefix) if which is None else 1, len(self)))
         for group in self._groups:
             runs = group.runs
             per = max(1, _BLOCK_CELLS // len(runs))
@@ -421,8 +430,11 @@ class BallFamily(Sequence):
                 base = row * width + block[:, -1, None] + m
                 first, past = base + runs[:, -2], base + runs[:, -1] + 1
                 at = group.members[lo:lo + per]
-                for sums, field in zip(out, prefix):
+                fields = prefix if which is None else prefix[which[at[0]]][None]
+                for sums, field in zip(out, fields):
                     sums[at] = (field.take(past) - field.take(first)).sum(axis=1)
+        if which is not None:
+            return out[0]
         return out.reshape(values.shape[:-1] + (len(self),))
 
     def sup(self, rows, bound) -> tuple:

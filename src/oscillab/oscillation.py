@@ -62,7 +62,8 @@ def rho(a: float, r: float) -> float:
 
 
 def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEstimate:
-    """Max over the ball family of oscillation(B) / |B|^(a/d)."""
+    """Max over the ball family of oscillation(B) / |B|^(a/d); inf, without
+    a warning, where a deviation's p-th power overflows."""
     family = BallFamily.on(f.grid, family)
     inv_p = 1.0 / params.p
     scale = params.a / f.grid.d
@@ -71,9 +72,11 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEsti
         dev = f.values[idx]
         dev -= dev.mean(axis=1, keepdims=True)
         np.abs(dev, out=dev)
-        dev **= params.p
+        with np.errstate(over="ignore"):
+            dev **= params.p
+            means = dev.mean(axis=1).tolist()
         # the root as a scalar pow per ball: the array pow may differ by an ulp
-        osc = [m**inv_p for m in dev.mean(axis=1).tolist()]
+        osc = [m**inv_p for m in means]
         return np.array(osc) / ball.volume**scale
 
     bound = _oscillation_bound(f, family, params.p) / family.volumes**scale

@@ -112,6 +112,7 @@ class RieszOperator:
         with np.errstate(invalid="ignore", divide="ignore"):
             m = np.where(ksq > 0, ky**2 / np.where(ksq > 0, ksq, 1.0), 0.0)
         self.multiplier = m
+        self._factors = {}
 
     def apply(self, omega: GridFunction) -> GridFunction:
         n = self.grid.n
@@ -120,10 +121,13 @@ class RieszOperator:
         return GridFunction(self.grid, out.ravel())
 
     def half_step(self, field: np.ndarray, tau: float) -> np.ndarray:
-        """exp(tau * m) applied to a real (n, n) field by one real FFT pair."""
+        """exp(tau * m) applied to a real (n, n) field by one real FFT pair;
+        the factor is computed once per tau (a solve uses dt and dt / 2)."""
         n = self.grid.n
-        spec = np.fft.rfft2(field) * np.exp(tau * self.multiplier[:, : n // 2 + 1])
-        return np.fft.irfft2(spec, s=(n, n))
+        factor = self._factors.get(tau)
+        if factor is None:
+            factor = self._factors[tau] = np.exp(tau * self.multiplier[:, : n // 2 + 1])
+        return np.fft.irfft2(np.fft.rfft2(field) * factor, s=(n, n))
 
 
 def _catmull_rom_matrix(grid: Grid, pts: np.ndarray) -> csr_matrix:

@@ -6,11 +6,19 @@ cubes whose size is comparable to their distance to the complement. Each
 accepted cube contributes its (slightly shrunken) inscribed ball, so the
 balls are strictly disjoint while the doubled balls still cover every cell
 of the set.
+
+A cover holds its balls as arrays of centers and radii and builds a
+``Ball`` only when one is asked for. Its radii are dyadic, about log2(n)
+distinct values, so the covering statistic and the shell histogram compute
+each radius's term once and spread it back to the balls. They add the
+terms ball by ball, left to right, and so equal a loop over the balls bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +33,7 @@ from .domain import (
     distance_transform,
     interpolate,
     points_in_ball,
+    unit_ball_volume,
 )
 from .errors import BadParameter, DegenerateMask, NotTorusMap, OutOfDomain, RadiusViolation
 from .maps import BiLipMap
@@ -78,24 +87,41 @@ def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
     return PixelMask(grid, points_in_ball(grid.box, pre, ball.center, ball.radius))
 
 
-@dataclass(frozen=True)
+class _Balls(Sequence):
+    """The balls of a cover, each built as a ``Ball`` when asked for."""
+
+    def __init__(self, centers: np.ndarray, radii: np.ndarray):
+        self._centers, self._radii = centers, radii
+
+    def __len__(self) -> int:
+        return len(self._radii)
+
+    def __getitem__(self, k) -> Ball:
+        return Ball(tuple(self._centers[k].tolist()), float(self._radii[k]))
+
+
+@dataclass(frozen=True, eq=False)
 class WhitneyCover:
     """Disjoint balls inside an open set whose doubles cover it.
 
-    ``whitney_ratios`` certifies comparability of ball size and boundary
-    distance: diameter of the ball over the distance from its center to the
-    complement, one entry per ball.
+    The balls are held as arrays, in the cover's order: ``centers`` is
+    (k, d) and ``radii`` is (k,). ``balls`` is a sequence over them that
+    builds each ``Ball`` only when it is asked for. ``whitney_ratios``
+    certifies comparability of ball size and boundary distance: diameter of
+    the ball over the distance from its center to the complement, one entry
+    per ball.
     """
 
-    balls: list
+    centers: np.ndarray
+    radii: np.ndarray
     source_ball: Ball
     map_name: str
-    whitney_ratios: list
+    whitney_ratios: np.ndarray
     uncovered_fraction: float
 
     @property
-    def radii(self) -> np.ndarray:
-        return np.array([b.radius for b in self.balls])
+    def balls(self) -> Sequence:
+        return _Balls(self.centers, self.radii)
 
 
 def _accepted_cubes(bits2d: np.ndarray, dist2d: np.ndarray, h: float) -> np.ndarray:
@@ -155,14 +181,13 @@ def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") ->
     m = cube[:, 2:]
     centers = np.asarray(grid.box.lower) + (cube[:, :2] + m / 2.0) * h
     radii = _BALL_SHRINK * (m[:, 0] * h) / 2.0
-    ratios = (2.0 * radii / interpolate(grid, dist.dist, centers)).tolist()
-    balls = [Ball(c, r) for c, r in zip(centers.tolist(), radii.tolist())]
+    ratios = 2.0 * radii / interpolate(grid, dist.dist, centers)
 
     covered = np.zeros(grid.size, dtype=bool)
     for _, idx in BallFamily(grid, centers, 2.0 * radii).blocks():
         covered[idx] = True
     uncovered = float((mask.bits & ~covered).sum()) / mask.count
-    return WhitneyCover(balls, source_ball, map_name, ratios, uncovered)
+    return WhitneyCover(centers, radii, source_ball, map_name, ratios, uncovered)
 
 
 def _min_gap(centers: np.ndarray, radii: np.ndarray, box: Box) -> float:
@@ -209,16 +234,15 @@ def check_cover_invariants(cover: WhitneyCover, mask: PixelMask) -> dict:
     uncovered_fraction, ratio_min/ratio_max, max_radius,
     containment_violations (ball cells outside the mask).
     """
-    radii = cover.radii
-    centers = np.array([b.center for b in cover.balls])
+    centers, radii = cover.centers, cover.radii
     contain_bad = 0
     for _, idx in BallFamily(mask.grid, centers, radii).blocks():
         contain_bad += int((~mask.bits[idx]).sum())
     return {
         "min_gap": _min_gap(centers, radii, mask.grid.box),
         "uncovered_fraction": cover.uncovered_fraction,
-        "ratio_min": float(min(cover.whitney_ratios)),
-        "ratio_max": float(max(cover.whitney_ratios)),
+        "ratio_min": float(np.min(cover.whitney_ratios)),
+        "ratio_max": float(np.max(cover.whitney_ratios)),
         "max_radius": float(radii.max()),
         "containment_violations": contain_bad,
     }
@@ -230,19 +254,34 @@ def covering_statistic(cover: WhitneyCover, a: float = 0.0, p: float = 1.0) -> f
     ((1/|B|) sum_k |O_k| rho_a(r_B / r_k)^p)^(1/p); stays bounded by a
     constant multiple of rho_a of the map distortion when the cover comes
     from a measure-preserving image.
+
+    Each distinct radius's term is computed once, and the terms are summed
+    ball by ball, left to right, as a running sum over the balls adds them.
+    A sum that overflows raises BadParameter.
     """
     if not 0 < p < math.inf:
         raise BadParameter(f"p {p:g} must be finite and positive")
     r_b = cover.source_ball.radius
     vol_b = cover.source_ball.volume
-    total = 0.0
-    for ball in cover.balls:
-        if ball.radius > r_b * (1.0 + 1e-9):
-            raise RadiusViolation(
-                f"cover ball radius {ball.radius} exceeds source radius {r_b}"
-            )
-        total += ball.volume * rho(a, max(r_b / ball.radius, 1.0)) ** p
-    return (total / vol_b) ** (1.0 / p)
+    d = cover.centers.shape[1]
+    radii, first, which = np.unique(cover.radii, return_index=True, return_inverse=True)
+    terms = np.empty(len(radii))
+    try:
+        # in ball order, so the first radius too large in ball order is named
+        for k in np.argsort(first):
+            r = float(radii[k])
+            if r > r_b * (1.0 + 1e-9):
+                raise RadiusViolation(f"cover ball radius {r} exceeds source radius {r_b}")
+            terms[k] = unit_ball_volume(d) * r**d * rho(a, max(r_b / r, 1.0)) ** p
+        with np.errstate(over="ignore"):
+            # np.add.accumulate adds strictly left to right, from 0.0
+            total = float(np.add.accumulate(np.r_[0.0, terms[which]])[-1])
+        stat = (total / vol_b) ** (1.0 / p)
+    except OverflowError:
+        stat = math.inf
+    if not math.isfinite(stat):
+        raise BadParameter(f"the covering sum overflows at a {a:g}, p {p:g}")
+    return stat
 
 
 @dataclass(frozen=True)
@@ -262,16 +301,20 @@ class ShellHistogram:
 
 
 def shell_histogram(cover: WhitneyCover, k_phi: float | None = None) -> ShellHistogram:
-    """Bucket the cover's ball areas by dyadic radius relative to r_B."""
+    """Bucket the cover's ball areas by dyadic radius relative to r_B.
+
+    Level and area are computed once per distinct radius; each shell's mass
+    adds its balls' areas left to right in ball order.
+    """
     r_b = cover.source_ball.radius
     vol_b = cover.source_ball.volume
-    buckets: dict = {}
-    for ball in cover.balls:
-        ratio = max(r_b / ball.radius, 1.0)
-        lvl = int(math.floor(math.log2(ratio) + 1e-12))
-        buckets[lvl] = buckets.get(lvl, 0.0) + ball.volume
-    levels = sorted(buckets)
-    masses = [buckets[l] for l in levels]
+    d = cover.centers.shape[1]
+    radii, which = np.unique(cover.radii, return_inverse=True)
+    radii = radii.tolist()
+    lvl = np.array([int(math.floor(math.log2(max(r_b / r, 1.0)) + 1e-12)) for r in radii])[which]
+    vol = np.array([unit_ball_volume(d) * r**d for r in radii])[which]
+    levels = np.unique(lvl).tolist()
+    masses = [float(np.add.accumulate(vol[lvl == l])[-1]) for l in levels]
     decay = None
     if k_phi is not None:
         decay = max(

@@ -308,6 +308,11 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["sweep", "--maps", "strain:t=1", "--seed", "-1", "--grid-n", "32"],
         ["seminorm", "--f", "log", "--radii", "0.5,nan", "--grid-n", "32"],
         ["carleson", "--map", "shear:lambda=1e200", "--grid-n", "32"],
+        # an oscillation or a covering sum whose power p overflows
+        ["seminorm", "--f", "log", "--p", "1000", "--grid-n", "64", "--stride", "8"],
+        ["seminorm", "--f", "log", "--p", "1e308", "--grid-n", "64", "--stride", "8"],
+        ["sweep", "--kind", "covering", "--p", "1000", "--grid-n", "64",
+         "--maps", "strain:t=0.5;strain:t=1"],
         # a flow map of more steps than the cap, a perturbed field that
         # overflows, a composed function that is not finite
         ["sweep", "--maps", "flow:t=1e5,amp=1e-9", "--grid-n", "32"],

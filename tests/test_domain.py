@@ -180,6 +180,11 @@ def test_ball_sums_match_gathered_row_sums(box, n):
     exact = np.array([math.fsum(signed[c]) for c in cells])
     assert np.all(np.abs(sums[1] - exact) <= fam.sum_slack * fam.counts * np.abs(signed).max())
     np.testing.assert_array_equal(fam.ball_sums(signed), sums[1])
+    # one row per radius, each ball summed over its own radius's row only
+    _, which = np.unique(fam.radii, return_inverse=True)
+    rows = rng.normal(size=(which.max() + 1, g.size))
+    np.testing.assert_array_equal(fam.ball_sums(rows, which),
+                                  fam.ball_sums(rows)[which, np.arange(len(fam))])
     # a family of one two-cell ball across the seam of the first axis: no
     # run on the last axis reaches past its center cell
     tiny = Ball(low + g.h * np.r_[n - 0.1, np.full(box.d - 1, 0.5)], 0.7 * g.h)

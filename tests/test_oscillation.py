@@ -1,5 +1,6 @@
 """Gauge, oscillation seminorms, composition and average-shift checks."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from oscillab.carleson import CarlesonBox, CarlesonDensity, box_mass, carleson_norm
+from oscillab.carleson import (
+    CarlesonBox,
+    CarlesonDensity,
+    box_mass,
+    carleson_norm,
+    shell_weight,
+)
 from oscillab.cli import SweepSpec, default_radii, run_sweep
 from oscillab.domain import (
     Ball,
@@ -189,18 +196,38 @@ def _first_max(values):
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def _cells_of(grid, balls):
+    """``cells_in_ball`` of each ball of the tuple ``balls``. The last tuple's
+    cells are kept, so the reference loops of one example (the helpers
+    below) share one call per ball."""
+    return [cells_in_ball(grid, b) for b in balls]
+
+
 def _assert_engine_matches_loop(f, mu, params, family):
     """seminorm and carleson_norm over ``family`` equal per-ball loops of the
-    primitives bit for bit, in value and in argmax ball."""
-    osc = [ball_oscillation(f, b, params.p) / b.volume ** (params.a / f.grid.d)
-           for b in family]
+    arithmetic of ``ball_oscillation`` and ``box_mass`` bit for bit, in value
+    and in argmax ball, and the two primitives as called give the argmax
+    values. Each radius's folded shell field comes from one ``shell_weight``
+    call."""
+    balls = tuple(family)
+    weights = {r: shell_weight(mu, r) for r in {b.radius for b in balls}}
+    osc, mass = [], []
+    for b, cells in zip(balls, _cells_of(f.grid, balls)):
+        vals = f.values[cells]
+        dev = np.abs(vals - vals.mean())
+        osc.append(float(np.mean(dev**params.p) ** (1.0 / params.p))
+                   / b.volume ** (params.a / f.grid.d))
+        mass.append(float(weights[b.radius][cells].sum()) / b.volume)
     est = seminorm(f, params, family)
     k = _first_max(osc)
-    assert (est.value, est.argmax_ball) == (osc[k], family[k])
-    mass = [box_mass(mu, CarlesonBox(b)) / b.volume for b in family]
+    assert (est.value, est.argmax_ball) == (osc[k], balls[k])
+    top = balls[k]
+    assert ball_oscillation(f, top, params.p) / top.volume ** (params.a / f.grid.d) == osc[k]
     norm = carleson_norm(mu, family)
     k = _first_max(mass)
-    assert (norm.value, norm.argmax_ball) == (mass[k], family[k])
+    assert (norm.value, norm.argmax_ball) == (mass[k], balls[k])
+    assert box_mass(mu, CarlesonBox(balls[k])) / balls[k].volume == mass[k]
 
 
 def _assert_norm_matches_shell_sums(mu, family):
@@ -208,15 +235,15 @@ def _assert_norm_matches_shell_sums(mu, family):
     from the density values and cells_in_ball, an oracle that shares no
     code with the folded shell field of box_mass and the engine."""
     cell_mass = mu.grid.cell_volume * math.log(2.0)
+    balls = tuple(family)
     ratios = []
-    for b in family:
-        cells = cells_in_ball(mu.grid, b)
+    for b, cells in zip(balls, _cells_of(mu.grid, balls)):
         mass = sum(float((mu.values[j, cells] ** 2).sum()) * cell_mass
                    for j, t in enumerate(mu.t_levels) if t <= b.radius * (1.0 + 1e-12))
         ratios.append(mass / b.volume)
     norm = carleson_norm(mu, family)
     assert norm.value == pytest.approx(max(ratios), rel=1e-12, abs=0.0)
-    assert ratios[family.index(norm.argmax_ball)] == pytest.approx(norm.value, rel=1e-12, abs=0.0)
+    assert ratios[balls.index(norm.argmax_ball)] == pytest.approx(norm.value, rel=1e-12, abs=0.0)
 
 
 def _random_inputs(g, seed, pattern):

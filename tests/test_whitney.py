@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab.domain import Ball, Box, Grid, PixelMask, cells_in_ball, distance_transform
-from oscillab.errors import NotTorusMap, RadiusViolation
+from oscillab.errors import BadParameter, NotTorusMap, RadiusViolation
 from oscillab.maps import (
     compose_maps,
     make_hat_twist,
@@ -17,6 +17,7 @@ from oscillab.maps import (
     make_rotation,
     make_shear,
 )
+from oscillab.oscillation import rho
 from oscillab.whitney import (
     WhitneyCover,
     _accepted_cubes,
@@ -152,11 +153,17 @@ def test_composite_map_cover():
     assert inv["min_gap"] > 0.0 and inv["containment_violations"] == 0
 
 
+def _hand_cover(centers, radii, source_ball):
+    """A cover built from its arrays, with unit Whitney ratios."""
+    radii = np.array(radii, dtype=float)
+    return WhitneyCover(np.array(centers, dtype=float).reshape(-1, 2), radii, source_ball, "",
+                        np.ones(len(radii)), 0.0)
+
+
 def test_cover_gap_wraps_on_torus():
     # two balls overlapping across the seam x = 0 ~ 1: centers 0.04 apart
     g = Grid(TORUS, 64)
-    balls = [Ball((0.02, 0.5), 0.03), Ball((0.98, 0.5), 0.03)]
-    cover = WhitneyCover(balls, Ball((0.5, 0.5), 0.25), "", [1.0, 1.0], 0.0)
+    cover = _hand_cover([(0.02, 0.5), (0.98, 0.5)], [0.03, 0.03], Ball((0.5, 0.5), 0.25))
     mask = PixelMask(g, np.ones(g.size, dtype=bool))
     assert check_cover_invariants(cover, mask)["min_gap"] < 0
 
@@ -209,7 +216,8 @@ def test_cover_gap_beyond_nearest_neighbours(box):
         extra = []
     balls = [Ball(a, r), Ball(b, r), Ball((a[0], a[1] + up), small),
              Ball((b[0], b[1] + up), small), *extra]
-    cover = WhitneyCover(balls, Ball((0.5, 0.5), 1.0), "", [1.0] * len(balls), 0.0)
+    cover = _hand_cover([b.center for b in balls], [b.radius for b in balls],
+                        Ball((0.5, 0.5), 1.0))
     g = Grid(box, 64)
     gap = check_cover_invariants(cover, PixelMask(g, np.ones(g.size, dtype=bool)))["min_gap"]
     assert gap == _brute_min_gap(cover, box)
@@ -219,8 +227,8 @@ def test_cover_gap_beyond_nearest_neighbours(box):
 def test_cover_gap_of_coincident_centers():
     # the KD-tree may return a coincident center before the ball itself
     g = Grid(TORUS, 64)
-    balls = [Ball((0.3, 0.3), 0.1), Ball((0.3, 0.3), 0.05), Ball((0.6, 0.6), 0.05)]
-    cover = WhitneyCover(balls, Ball((0.5, 0.5), 0.25), "", [1.0] * 3, 0.0)
+    cover = _hand_cover([(0.3, 0.3), (0.3, 0.3), (0.6, 0.6)], [0.1, 0.05, 0.05],
+                        Ball((0.5, 0.5), 0.25))
     mask = PixelMask(g, np.ones(g.size, dtype=bool))
     assert check_cover_invariants(cover, mask)["min_gap"] == -(0.05 + 0.1)
 
@@ -324,3 +332,79 @@ def test_whitney_engine_matches_recursive_reference(kind, n, size, cx, cy, r):
     assert inv["min_gap"] == _brute_min_gap(cover, g.box)
     assert inv["min_gap"] > 0.0
     assert cover.uncovered_fraction == 0.0
+
+
+def _loop_covering_statistic(cover, a=0.0, p=1.0):
+    """The per-ball loop ``covering_statistic`` replaced, kept as its reference."""
+    r_b = cover.source_ball.radius
+    vol_b = cover.source_ball.volume
+    total = 0.0
+    for ball in cover.balls:
+        if ball.radius > r_b * (1.0 + 1e-9):
+            raise RadiusViolation(
+                f"cover ball radius {ball.radius} exceeds source radius {r_b}"
+            )
+        total += ball.volume * rho(a, max(r_b / ball.radius, 1.0)) ** p
+    return (total / vol_b) ** (1.0 / p)
+
+
+def _loop_shell_histogram(cover, k_phi=None):
+    """The per-ball loop ``shell_histogram`` replaced, kept as its reference."""
+    r_b = cover.source_ball.radius
+    vol_b = cover.source_ball.volume
+    buckets: dict = {}
+    for ball in cover.balls:
+        ratio = max(r_b / ball.radius, 1.0)
+        lvl = int(math.floor(math.log2(ratio) + 1e-12))
+        buckets[lvl] = buckets.get(lvl, 0.0) + ball.volume
+    levels = sorted(buckets)
+    masses = [buckets[l] for l in levels]
+    decay = None
+    if k_phi is not None:
+        decay = max(
+            m / (k_phi * 2.0 ** (-l) * vol_b) for l, m in zip(levels, masses)
+        )
+    return levels, masses, sum(masses) / vol_b, decay
+
+
+@settings(max_examples=100)
+@given(
+    r_b=st.floats(0.05, 1.0),
+    # radii as fractions of r_B: dyadic ones, as a Whitney cover has, any
+    # others, and a few above 1, which the statistic rejects
+    pool=st.lists(st.integers(0, 12).map(lambda j: 0.995 * 2.0**-j) | st.floats(1e-3, 1.0),
+                  min_size=1, max_size=6, unique=True),
+    over=st.lists(st.floats(1.0, 1.5, exclude_min=True), max_size=2, unique=True),
+    count=st.integers(1, 300),
+    a=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 4.0, exclude_min=True),
+    k_phi=st.none() | st.floats(1.0, 50.0),
+    seed=st.integers(0, 2**16),
+)
+def test_cover_reductions_equal_per_ball_loops(r_b, pool, over, count, a, p, k_phi, seed):
+    # radii repeat in no particular order; the statistic, the masses and the
+    # decay constant equal the per-ball loops bit for bit, a radius above r_B
+    # is named as the loop names it, and where the loop's sum overflows (at a
+    # tiny p, 1/p does) the statistic raises BadParameter
+    rng = np.random.default_rng(seed)
+    fractions = pool + over
+    radii = [r_b * fractions[k] for k in rng.integers(0, len(fractions), count)]
+    centers = rng.uniform(-1.0, 1.0, (count, 2))
+    cover = _hand_cover(centers, radii, Ball((0.0, 0.0), r_b))
+    try:
+        want = _loop_covering_statistic(cover, a=a, p=p)
+        want = want if math.isfinite(want) else BadParameter
+    except RadiusViolation as exc:
+        want = str(exc)
+    except OverflowError:
+        want = BadParameter
+    try:
+        got = covering_statistic(cover, a=a, p=p)
+    except RadiusViolation as exc:
+        got = str(exc)
+    except BadParameter:
+        got = BadParameter
+    assert got == want
+    hist = shell_histogram(cover, k_phi)
+    assert (hist.levels, hist.masses, hist.covered_mass_fraction,
+            hist.decay_constant) == _loop_shell_histogram(cover, k_phi)
