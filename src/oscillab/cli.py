@@ -183,6 +183,14 @@ class SweepSpec:
             bad.append(f"radii={radii} (each must be finite and positive)")
         if len(self.box_lower) != 2:
             bad.append(f"box_lower={self.box_lower} (takes x,y)")
+        h = self.box_side / max(self.grid_n, 1)  # Box and Grid reject h <= 0
+        if h > 0 and not sys.float_info.min <= h * h < math.inf:
+            bad.append(f"box_side={self.box_side:g} (its cell area (box_side/grid_n)^2 "
+                       "must be a normal float)")
+        elif h > 0 and not all(abs(v) / h < 2.0**52 for v in self.box_lower):
+            # as in interpolate: there float64 no longer tells one cell from the next
+            lower = ",".join(f"{v:g}" for v in self.box_lower)
+            bad.append(f"box_lower={lower} (must lie less than 2^52 cells from 0)")
         if self.kind in ("transport", "perturbed") and len(self.functions) != 1:
             bad.append(f"functions={';'.join(self.functions)!r} ({self.kind} takes one)")
         if self.kind == "perturbed" and self.a != 0:
@@ -262,7 +270,7 @@ def default_radii(grid: Grid) -> list:
     """Dyadic radius ladder from 8 cells up to a quarter of the box."""
     radii = []
     r = 8 * grid.h
-    while r <= grid.box.side / 4 + 1e-12:
+    while r <= grid.box.side / 4 * (1 + 1e-12):
         radii.append(r)
         r *= 2
     return radii
@@ -475,13 +483,13 @@ def _cmd_whitney(args) -> int:
     ball = Ball(tuple(ball[:2]), ball[2])
     mask = image_mask(phi, ball, grid)
     cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
+    stat = covering_statistic(cover, a=spec.a, p=spec.p)  # before any row is written
     with _output(spec.out) as stream:
         stream.write("k,center_x,center_y,radius,dist_to_complement\n")
         dist = 2.0 * cover.radii / cover.whitney_ratios
         rows = zip(cover.centers.tolist(), cover.radii.tolist(), dist.tolist())
         for k, ((x, y), r, to_complement) in enumerate(rows):
             stream.write(f"{k},{x:.10g},{y:.10g},{r:.10g},{to_complement:.10g}\n")
-        stat = covering_statistic(cover, a=spec.a, p=spec.p)
         stream.write(f"# covering_statistic,{stat:.10g}\n")
         stream.write(f"# uncovered_fraction,{cover.uncovered_fraction:.10g}\n")
     return 0

@@ -172,33 +172,53 @@ class DistanceField:
     dist: np.ndarray
 
 
-def cells_in_ball(grid: Grid, ball: Ball) -> np.ndarray:
-    """Flat indices of cells whose centers lie in the ball (wrapped if periodic).
+def _lattice(grid: Grid, centers, radii) -> tuple:
+    """Per ball of the (k, d) ``centers`` and (k,) ``radii``: the nearest cell,
+    the center's offset from that cell's center in cells (rounded to 1e-12,
+    -0.0 as 0.0) and, per axis, the first and last cell offset from that
+    cell that ``cells_in_ball`` tests."""
+    u = (np.asarray(centers, dtype=float) - np.asarray(grid.box.lower)) / grid.h - 0.5
+    cells = np.rint(u)
+    delta = np.round(u - cells, 12) + 0.0
+    reach = np.asarray(radii, dtype=float)[:, None] / grid.h
+    return cells.astype(np.intp), delta, np.floor(delta - reach), np.ceil(delta + reach)
 
-    Restricts the search to the bounding box of the ball, so the cost scales
+
+def cells_in_ball(grid: Grid, ball: Ball) -> np.ndarray:
+    """Flat indices, ascending, of the cells whose centers lie in the ball.
+
+    Membership is decided in cell units. With c the cell nearest the ball's
+    center and delta the center's offset from c's center in cells (rounded
+    to 1e-12), the cell k cells from c is inside iff sum (k - delta)^2 <=
+    (r/h)^2, with k - delta taken as its shortest wrap on a torus. So balls
+    of one radius and one delta hold the same cells, translated, wherever
+    they sit, and the test neither squares h nor depends on the box's scale.
+    The search covers the ball's bounding box of cells, so the cost scales
     with the ball, not the grid.
     """
-    n, h, d = grid.n, grid.h, grid.d
-    low = np.asarray(grid.box.lower)
-    center = np.asarray(ball.center)
-    per_axis = []
-    for k in range(d):
-        i_lo = int(np.floor((center[k] - ball.radius - low[k]) / h - 0.5))
-        i_hi = int(np.ceil((center[k] + ball.radius - low[k]) / h - 0.5))
-        idx = np.arange(i_lo, i_hi + 1)
+    n = grid.n
+    cells, delta, lo, hi = (a[0] for a in _lattice(grid, [ball.center], [ball.radius]))
+    per_axis, gaps = [], []
+    for c, dk, first, last in zip(cells.tolist(), delta, lo, hi):
         if grid.box.periodic:
-            idx = np.unique(idx % n)
+            k = np.arange(first, min(last, first + n - 1) + 1)  # each cell once
+            e = k - dk
+            e -= n * np.round(e / n)
+            idx = (c + k.astype(np.intp)) % n
+            order = np.argsort(idx)
+            idx, e = idx[order], e[order]
         else:
-            idx = idx[(idx >= 0) & (idx < n)]
+            k = np.arange(max(first, -c), min(last, n - 1 - c) + 1)
+            idx, e = c + k.astype(np.intp), k - dk
         per_axis.append(idx)
+        gaps.append(e * e)
     if any(len(idx) == 0 for idx in per_axis):
         raise EmptyBall(f"ball {ball} misses the grid")
-    mesh = np.meshgrid(*per_axis, indexing="ij")
-    inside = _inside(grid, center, ball.radius, mesh).ravel()
+    inside = functools.reduce(np.add.outer, gaps) <= (ball.radius / grid.h) ** 2
     if not inside.any():
         raise EmptyBall(f"no cell center inside ball {ball}")
-    flat = grid.flat_index(tuple(m.ravel()[inside] for m in mesh))
-    return flat
+    mesh = np.meshgrid(*per_axis, indexing="ij")
+    return grid.flat_index(tuple(m[inside] for m in mesh))
 
 
 def points_in_ball(box: Box, points: np.ndarray, center, radius: float) -> np.ndarray:
@@ -206,14 +226,6 @@ def points_in_ball(box: Box, points: np.ndarray, center, radius: float) -> np.nd
     the wrapped displacement on a torus; ``center`` broadcasts against ``points``."""
     disp = box.wrap_displacement(points - np.asarray(center))
     return np.einsum("...j,...j->...", disp, disp) <= radius**2
-
-
-def _inside(grid: Grid, center: np.ndarray, radius: float, cells) -> np.ndarray:
-    """Whether the cell centers lie in the ball; ``cells`` holds one integer
-    index array per axis, and ``center`` (last axis d) broadcasts against them."""
-    low = np.asarray(grid.box.lower)
-    coords = np.stack([low[k] + (cells[k] + 0.5) * grid.h for k in range(grid.d)], axis=-1)
-    return points_in_ball(grid.box, coords, center, radius)
 
 
 def ball_average(f: GridFunction, ball: Ball) -> float:
@@ -274,56 +286,45 @@ class BallFamily(Sequence):
     """Immutable ball family compiled for one grid, from the (k, d) array of
     its centers and the (k,) array of its radii.
 
-    Balls that are lattice translates of each other (same radius, same
-    sub-cell center offset, the same verdict of ``cells_in_ball``'s test on
-    the cells that tie with the sphere up to rounding and, on a window, a
-    bounding box of cells inside it) form a group that stores integer center
-    cells and one stencil of cell offsets, taken from ``cells_in_ball`` on
-    the group's first ball. Any other ball is a group of its own. As a
-    sequence it holds the balls in the order they were given, each built as
-    a ``Ball`` when asked for; ``radii``, ``volumes`` and ``counts`` hold
-    each ball's radius, volume and number of cells in that order.
+    Balls of one radius and one sub-cell center offset, the key on which
+    ``cells_in_ball`` decides membership, are lattice translates of each
+    other and form a group that stores integer center cells and one stencil
+    of cell offsets, taken from ``cells_in_ball`` on the group's first ball.
+    On a window, a ball whose searched cells leave the grid has its stencil
+    clipped and is a group of its own. As a sequence it holds the balls in
+    the order they were given, each built as a ``Ball`` when asked for;
+    ``radii``, ``volumes`` and ``counts`` hold each ball's radius, volume
+    and number of cells in that order.
     """
 
     def __init__(self, grid: Grid, centers, radii):
         self.grid = grid
-        n, h, d = grid.n, grid.h, grid.d
+        n, d = grid.n, grid.d
         self.centers = centers = np.asarray(centers, dtype=float).reshape(-1, d)
         self.radii = radii = np.asarray(radii, dtype=float)
         if not len(radii):
             raise EmptyFamily("ball family is empty")
-        low = np.asarray(grid.box.lower)
-        u = (centers - low) / h - 0.5
-        cells = np.rint(u)
-        offset = u - cells
-        cells = cells.astype(np.intp)
+        cells, delta, lo, hi = _lattice(grid, centers, radii)
         if grid.box.periodic:
             cells %= n
             alone = np.zeros(len(radii), dtype=bool)
         else:
-            # the bounding box cells_in_ball searches, unclipped
-            i_lo = np.floor((centers - radii[:, None] - low) / h - 0.5)
-            i_hi = np.ceil((centers + radii[:, None] - low) / h - 0.5)
-            alone = np.any((i_lo < 0) | (i_hi > n - 1), axis=1)
-        # offsets equal up to rounding share a key (their tie cells are
-        # checked below); a ball that is nobody's translate is a group of its
-        # own. A group is ranked by its first ball, and keeps its balls in
-        # family order.
+            # cells_in_ball clips the cells it searches (lo..hi from the
+            # center cell, per axis) to the grid; such a ball is no translate
+            alone = np.any((cells + lo < 0) | (cells + hi > n - 1), axis=1)
+        # A group is ranked by its first ball, and keeps its balls in family order.
         rank = np.arange(len(radii))
         shared = np.flatnonzero(~alone)
         if len(shared):
-            keys = np.column_stack([radii, np.round(offset, 12) + 0.0])[shared]  # -0.0 as 0.0
+            keys = np.column_stack([radii, delta])[shared]
             _, head, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
             rank[shared] = shared[head][key.reshape(-1)]
         order = np.argsort(rank, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(rank[order])) + 1)
         self._strides = n ** np.arange(d - 1, -1, -1)
         self._groups = []
         self.counts = np.empty(len(radii), dtype=np.intp)
         self.volumes = np.empty(len(radii))
-        parts = [part for members in groups
-                 for part in _agreeing(grid, members, centers, cells, offset, radii)]
-        for members in parts:
+        for members in np.split(order, np.flatnonzero(np.diff(rank[order])) + 1):
             first = self[members[0]]
             found = cells_in_ball(grid, first)
             offsets = np.stack(np.unravel_index(found, (n,) * d), axis=-1) - cells[members[0]]
@@ -337,7 +338,6 @@ class BallFamily(Sequence):
                                  | (np.diff(offsets[:, -1]) != 1)) + 1
             ends = np.r_[cut, len(offsets)] - 1
             runs = np.column_stack([offsets[np.r_[0, cut]], offsets[ends, -1]])
-            members = np.array(members)
             self._groups.append(_Group(members, cells[members], offsets, stencil, runs))
             self.counts[members] = len(stencil)
             self.volumes[members] = first.volume
@@ -471,33 +471,6 @@ class BallFamily(Sequence):
         return cls(grid, [b.center for b in balls], [b.radius for b in balls])
 
 
-def _agreeing(grid: Grid, members: list, centers, cells, offset, radii) -> list:
-    """``members`` (balls with one radius and one sub-cell offset) split into
-    parts whose balls agree on every cell whose center lies within rounding
-    of their sphere, so that within a part membership is a translate.
-
-    Elsewhere the translate is exact up to rounding far below the margin; on
-    boxes with dyadic coordinates the tie cells agree as well.
-    """
-    if len(members) == 1:
-        return [members]
-    h, radius, delta = grid.h, float(radii[members[0]]), offset[members[0]]
-    reach = int(math.ceil(radius / h)) + 1
-    steps = np.arange(-reach, reach + 1)
-    gap = functools.reduce(np.add.outer, [((steps - c) * h) ** 2 for c in delta])
-    near = np.argwhere(np.abs(gap - radius**2) <= 1e-9 * radius**2) - reach
-    if not len(near):
-        return [members]
-    idx = cells[members][:, None, :] + near
-    if grid.box.periodic:
-        idx %= grid.n
-    parts = {}
-    inside = _inside(grid, centers[members][:, None, :], radius, np.moveaxis(idx, -1, 0))
-    for k, row in zip(members, inside):
-        parts.setdefault(row.tobytes(), []).append(k)
-    return list(parts.values())
-
-
 def ball_family(grid: Grid, centers_stride: int, radii) -> BallFamily:
     """Deterministic ball family: stride sub-grid of centers times all radii.
 
@@ -512,9 +485,9 @@ def ball_family(grid: Grid, centers_stride: int, radii) -> BallFamily:
     h = grid.h
     radii = [float(r) for r in radii]
     for r in radii:
-        if r < 4 * h - 1e-12:
+        if r < 4 * h * (1 - 1e-12):
             raise BadRadius(f"radius {r} below 4h = {4 * h}")
-        if r > grid.box.side / 2 + 1e-12:
+        if r > grid.box.side / 2 * (1 + 1e-12):
             raise BadRadius(f"radius {r} above half the box side")
     if not radii:
         raise EmptyFamily("ball family is empty: no radius given")

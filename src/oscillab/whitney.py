@@ -257,10 +257,13 @@ def covering_statistic(cover: WhitneyCover, a: float = 0.0, p: float = 1.0) -> f
 
     Each distinct radius's term is computed once, and the terms are summed
     ball by ball, left to right, as a running sum over the balls adds them.
-    A sum that overflows raises BadParameter.
+    An a that is not finite and nonnegative, a sum that overflows and a
+    positive sum whose root underflows to 0 raise BadParameter.
     """
     if not 0 < p < math.inf:
         raise BadParameter(f"p {p:g} must be finite and positive")
+    if not 0 <= a < math.inf:
+        raise BadParameter(f"a {a:g} must be finite and nonnegative")
     r_b = cover.source_ball.radius
     vol_b = cover.source_ball.volume
     d = cover.centers.shape[1]
@@ -281,6 +284,8 @@ def covering_statistic(cover: WhitneyCover, a: float = 0.0, p: float = 1.0) -> f
         stat = math.inf
     if not math.isfinite(stat):
         raise BadParameter(f"the covering sum overflows at a {a:g}, p {p:g}")
+    if stat == 0 and total > 0:
+        raise BadParameter(f"the root of the covering sum underflows to 0 at p {p:g}")
     return stat
 
 

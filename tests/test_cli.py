@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import resource
 import shlex
 import subprocess
 import sys
@@ -313,6 +314,18 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "log", "--p", "1e308", "--grid-n", "64", "--stride", "8"],
         ["sweep", "--kind", "covering", "--p", "1000", "--grid-n", "64",
          "--maps", "strain:t=0.5;strain:t=1"],
+        # a covering gauge exponent a that is negative or nan, and a covering
+        # sum whose root at a tiny p underflows to 0
+        ["sweep", "--kind", "covering", "--maps", "strain:t=0.5;strain:t=1", "--grid-n", "64",
+         "--a=-1"],
+        ["sweep", "--kind", "covering", "--maps", "strain:t=0.5;strain:t=1", "--grid-n", "64",
+         "--a", "nan"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,0.25", "--grid-n", "32", "--a=-1"],
+        ["sweep", "--kind", "covering", "--maps", "strain:t=0.5;strain:t=1", "--grid-n", "64",
+         "--p", "1e-300"],
+        # a box corner 2^52 cells or more from 0
+        ["seminorm", "--f", "log", "--grid-n", "32", "--box-lower", "1e17", "0",
+         "--box-side", "1"],
         # a flow map of more steps than the cap, a perturbed field that
         # overflows, a composed function that is not finite
         ["sweep", "--maps", "flow:t=1e5,amp=1e-9", "--grid-n", "32"],
@@ -456,3 +469,36 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+def _run_bounded(argv, memory=1 << 30, timeout=20):
+    """``python -m oscillab.cli argv`` in a subprocess whose address space is
+    capped at ``memory`` bytes and that is killed after ``timeout`` seconds,
+    so a command that would allocate or loop without bound fails the test
+    instead of the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    src = str(Path(oscillab.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "oscillab.cli", *argv], preexec_fn=limit,
+                          env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=timeout)
+
+
+TINY_TORUS = ["seminorm", "--f", "checker", "--grid-n", "32", "--periodic", "--box-lower", "0", "0"]
+
+
+@pytest.mark.parametrize("side", ["1e-200", "1e-310"])
+def test_box_whose_cell_area_underflows_is_refused(side):
+    # h^2 is subnormal or 0: refused before any family is built
+    proc = _run_bounded(TINY_TORUS + ["--box-side", side])
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_tiny_dyadic_torus_gives_the_unit_torus_seminorm():
+    # 2^-400, whose h^2 is still normal: the unit torus's value, scaled
+    proc = _run_bounded(TINY_TORUS + ["--box-side", repr(2.0**-400)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split(",")[3] == "0.9993558195"

@@ -18,7 +18,9 @@ from oscillab.domain import (
     cells_in_ball,
     distance_transform,
     interpolate,
+    points_in_ball,
 )
+from oscillab.cli import default_radii
 from oscillab.errors import BadRadius, DegenerateMask, EmptyBall, EmptyFamily
 
 
@@ -282,3 +284,64 @@ def test_interpolate_periodic_wrap():
     seam = np.array([[0.0, 0.5], [1.0 - 1e-12, 0.5]])
     out = interpolate(g, vals, seam)
     assert abs(out[0] - out[1]) < 1e-6
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_cells_in_ball_matches_brute_force_on_dyadic_boxes(d, n, periodic):
+    # an oracle that shares no code with cells_in_ball's cell-unit rule:
+    # every cell center tested in absolute coordinates, exact on these
+    # boxes. Lattice radii put cell centers on the sphere, and centers sit
+    # on cell centers, on cell corners and at random dyadic points.
+    box = Box((0.0,) * d, 1.0, periodic) if periodic else Box((-1.0,) * d, 2.0)
+    g = Grid(box, n)
+    low, h = np.asarray(box.lower), g.h
+    rng = np.random.default_rng([d, n, periodic])
+    radii = [k * h for k in (1, 2, 3, 5, n // 4)] + ([box.side / 2] if periodic else [])
+    spots = [rng.integers(0, n, d) + 0.5 for _ in range(4)]
+    spots += [rng.integers(0, n + 1, d) + 0.0 for _ in range(4)]
+    spots += [rng.integers(0, 256 * n, d) / 256 for _ in range(8)]
+    centers = g.cell_centers()
+    for spot in spots:
+        center = low + spot * h
+        for r in radii:
+            want = np.flatnonzero(points_in_ball(box, centers, center, r))
+            if not len(want):
+                continue
+            np.testing.assert_array_equal(cells_in_ball(g, Ball(center, r)), want)
+
+
+def _moved_cells(g, cells, move):
+    """Flat cell indices moved by the integer vector ``move``, wrapped, ascending."""
+    idx = np.stack(np.unravel_index(cells, (g.n,) * g.d), axis=-1) + move
+    return np.sort(g.flat_index(tuple(idx.T)))
+
+
+ODD_BOXES = [Box((0.1, 0.3), 1.7), Box((-0.3, 0.7), 3.1, periodic=True)]
+
+
+@pytest.mark.parametrize("box", ODD_BOXES)
+def test_cells_in_ball_commutes_with_cell_moves(box):
+    # on boxes whose corner and side are not dyadic, a ball moved by whole
+    # cells holds the original's cells moved by the same amount
+    g = Grid(box, 64)
+    low, h = np.asarray(box.lower), g.h
+    rng = np.random.default_rng(7)
+    for _ in range(90):
+        r = h * rng.choice([4, 8, 16])
+        spot = rng.integers(17, 47, 2) + rng.choice([0.5, 0.0, 0.25], 2)
+        move = rng.integers(-16, 17, 2)
+        if not box.periodic:
+            move = np.clip(move, 17 - spot.astype(int), 46 - spot.astype(int))
+        ball = Ball(low + (spot + 0.5) * h, r)
+        moved = Ball(low + (spot + move + 0.5) * h, r)
+        np.testing.assert_array_equal(cells_in_ball(g, moved),
+                                      _moved_cells(g, cells_in_ball(g, ball), move))
+
+
+@pytest.mark.parametrize("box", ODD_BOXES)
+def test_lattice_family_is_one_group_per_radius(box):
+    g = Grid(box, 64)
+    radii = default_radii(g)
+    fam = ball_family(g, 4, radii)
+    assert len(radii) == 2 and len(fam._groups) == 2

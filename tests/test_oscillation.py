@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from oscillab.carleson import (
@@ -292,8 +292,8 @@ def test_compiled_family_matches_per_ball_loop(n, periodic, box, stride, fracs, 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_rounded_cell_centers_match_per_ball_loop(periodic):
     # cell centers and ball centers round on this box, and cells at exactly
-    # r = 8h, 16h along an axis tie with the sphere: translates whose tie
-    # cells round differently must not share a stencil
+    # r = 8h, 16h along an axis tie with the sphere: every translate that
+    # shares a stencil must decide them as cells_in_ball does
     g = Grid(Box((0.1, 0.3), 1.7, periodic), 64)
     fam = ball_family(g, 2, [8 * g.h, 16 * g.h])
     f, mu = _random_inputs(g, 1, "normal")
@@ -396,3 +396,27 @@ def test_overflowing_powers_gather_every_ball(monkeypatch, periodic):
         full = [seminorm(f, OscillationParams(p=p), fam) for p in (1000.0, 1e6)]
     for a, b in zip(pruned, full):
         assert (a.value, a.argmax_ball) == (b.value, b.argmax_ball)
+
+
+@settings(max_examples=30)
+@given(periodic=st.booleans(), k=st.integers(-60, 60), shift=st.integers(-8, 8))
+@example(periodic=True, k=-60, shift=0)
+@example(periodic=True, k=-45, shift=3)
+@example(periodic=False, k=60, shift=-5)
+def test_seminorm_is_invariant_under_dyadic_dilation(periodic, k, shift):
+    # x -> 2^k (x + shift side / 4) moves every cell center and radius
+    # exactly, so at a = 0 the family, value and argmax agree bit for bit
+    base = TORUS if periodic else WINDOW
+    lower = [math.ldexp(v + shift * base.side / 4, k) for v in base.lower]
+    values = np.random.default_rng(11).normal(size=64 * 64)
+    found = []
+    for box in (base, Box(lower, math.ldexp(base.side, k), periodic)):
+        g = Grid(box, 64)
+        fam = ball_family(g, 4, default_radii(g))
+        f = GridFunction(g, values)
+        for p in (1.0, 2.0, 3.0):
+            est = seminorm(f, OscillationParams(p=p), fam)
+            ball = est.argmax_ball
+            at = (fam.centers == ball.center).all(axis=1) & (fam.radii == ball.radius)
+            found.append((len(fam), est.value, int(np.argmax(at))))
+    assert found[:3] == found[3:]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscillab.domain import Ball, Box, Grid, PixelMask, cells_in_ball, distance_transform
@@ -97,6 +97,17 @@ def test_covering_statistic_radius_guard():
     cover = whitney_decompose(mask, source_ball=small)
     with pytest.raises(RadiusViolation):
         covering_statistic(cover, a=0.0, p=1.0)
+
+
+def test_covering_statistic_parameters():
+    # balls of the source radius have gauge log 1 = 0 at a = 0: a true 0
+    ball = Ball((0.5, 0.5), 0.25)
+    cover = _hand_cover([(0.5, 0.5), (0.0, 0.0)], [0.25, 0.25], ball)
+    assert covering_statistic(cover, a=0.0, p=1.0) == 0.0
+    cover = _hand_cover([(0.5, 0.5)], [0.125], ball)
+    for a, p in ((-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.0, 1e-300)):
+        with pytest.raises(BadParameter):
+            covering_statistic(cover, a=a, p=p)
 
 
 def test_statistic_isometry_invariant():
@@ -345,7 +356,11 @@ def _loop_covering_statistic(cover, a=0.0, p=1.0):
                 f"cover ball radius {ball.radius} exceeds source radius {r_b}"
             )
         total += ball.volume * rho(a, max(r_b / ball.radius, 1.0)) ** p
-    return (total / vol_b) ** (1.0 / p)
+    stat = (total / vol_b) ** (1.0 / p)
+    if stat == 0 < total:
+        # the root of a positive sum is out of range, as an overflowing sum is
+        raise OverflowError("the root of the covering sum underflows to 0")
+    return stat
 
 
 def _loop_shell_histogram(cover, k_phi=None):
@@ -408,3 +423,28 @@ def test_cover_reductions_equal_per_ball_loops(r_b, pool, over, count, a, p, k_p
     hist = shell_histogram(cover, k_phi)
     assert (hist.levels, hist.masses, hist.covered_mass_fraction,
             hist.decay_constant) == _loop_shell_histogram(cover, k_phi)
+
+
+@settings(max_examples=20)
+@given(periodic=st.booleans(), k=st.integers(-60, 60), ci=st.integers(8, 56),
+       cj=st.integers(8, 56), r=st.integers(3, 20))
+@example(periodic=True, k=-60, ci=8, cj=30, r=20)
+@example(periodic=False, k=60, ci=40, cj=20, r=12)
+def test_cover_is_invariant_under_dyadic_dilation(periodic, k, ci, cj, r):
+    # a mask of cells (a disk in cell units, wrapped on the torus) on a box
+    # scaled by 2^k: the same cubes and the same min_gap / side
+    i, j = np.indices((64, 64))
+    di, dj = i - ci, j - cj
+    if periodic:
+        di, dj = (di + 32) % 64 - 32, (dj + 32) % 64 - 32
+    bits = di**2 + dj**2 < r**2
+    found = []
+    for box in (Box((0.0, 0.0), 1.0, periodic),
+                Box((0.0, math.ldexp(-3.0, k)), math.ldexp(1.0, k), periodic)):
+        g = Grid(box, 64)
+        mask = PixelMask(g, bits)
+        low = np.asarray(box.lower)
+        source = Ball(low + box.side * np.array([ci + 0.5, cj + 0.5]) / 64, box.side / 2)
+        cover = whitney_decompose(mask, source_ball=source)
+        found.append((len(cover.radii), check_cover_invariants(cover, mask)["min_gap"] / box.side))
+    assert found[0] == found[1]
