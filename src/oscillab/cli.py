@@ -187,6 +187,10 @@ class SweepSpec:
         if h > 0 and not sys.float_info.min <= h * h < math.inf:
             bad.append(f"box_side={self.box_side:g} (its cell area (box_side/grid_n)^2 "
                        "must be a normal float)")
+        elif h > 0 and not (self.box_side / 2) * (self.box_side / 2) < math.inf:
+            # the largest ball radius of a family; its square bounds membership
+            bad.append(f"box_side={self.box_side:g} (its squared half side (box_side/2)^2 "
+                       "must be finite)")
         elif h > 0 and not all(abs(v) / h < 2.0**52 for v in self.box_lower):
             # as in interpolate: there float64 no longer tells one cell from the next
             lower = ",".join(f"{v:g}" for v in self.box_lower)

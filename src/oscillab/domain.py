@@ -115,6 +115,13 @@ class Ball:
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         if not self.radius > 0:
             raise BadParameter(f"ball radius must be positive, got {self.radius:g}")
+        try:
+            finite = math.isfinite(self.radius**self.d)
+        except OverflowError:
+            finite = False
+        if not finite:  # volume, and at d = 2 points_in_ball, take radius^d
+            raise BadParameter(f"ball radius {self.radius:g} is too large "
+                               f"(radius^{self.d} must be a finite float)")
 
     @property
     def d(self) -> int:

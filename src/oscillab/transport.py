@@ -22,7 +22,7 @@ import numpy as np
 from .domain import _BLOCK_CELLS, Grid, GridFunction, interpolate
 from .errors import BadParameter, NonPeriodic, OutOfDomain, StepTooLarge
 from .maps import MAX_STEPS, VectorField, _rk4
-from .fits import rms_relative
+from .fits import bounded_minimum, rms_relative
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -251,8 +251,6 @@ def perturbed_growth_comparison(runs) -> dict:
     ratio ~ e^(lip * t) e^(c t), with c searched in [-6, 4]. Returns each
     model's rate and RMS relative residual on the identical points.
     """
-    from scipy.optimize import minimize_scalar
-
     data = [(float(l), float(t), float(r)) for l, t, r in runs]
     lips = np.array([d[0] for d in data])
     ts = np.array([d[1] for d in data])
@@ -262,13 +260,9 @@ def perturbed_growth_comparison(runs) -> dict:
         base = np.exp(lips * ts) if rough else (1.0 + lips * ts)
         return rms_relative(base * np.exp(c * ts), ys)
 
-    res_sharp = minimize_scalar(
-        lambda c: resid(c, rough=False), bounds=(-6.0, 4.0), method="bounded"
-    )
-    res_rough = minimize_scalar(
-        lambda c: resid(c, rough=True), bounds=(-6.0, 4.0), method="bounded"
-    )
+    c_sharp, r_sharp = bounded_minimum(lambda c: resid(c, rough=False), -6.0, 4.0)
+    c_rough, r_rough = bounded_minimum(lambda c: resid(c, rough=True), -6.0, 4.0)
     return {
-        "sharp": {"c": float(res_sharp.x), "residual": float(res_sharp.fun)},
-        "rough": {"c": float(res_rough.x), "residual": float(res_rough.fun)},
+        "sharp": {"c": c_sharp, "residual": r_sharp},
+        "rough": {"c": c_rough, "residual": r_rough},
     }

@@ -323,6 +323,16 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["whitney", "--map", "strain:t=1", "--ball", "0,0,0.25", "--grid-n", "32", "--a=-1"],
         ["sweep", "--kind", "covering", "--maps", "strain:t=0.5;strain:t=1", "--grid-n", "64",
          "--p", "1e-300"],
+        # a ball radius or a box whose squared half side overflows
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,1e155", "--grid-n", "32"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,1e200", "--grid-n", "32"],
+        ["whitney", "--map", "strain:t=1", "--ball", "0,0,1e300", "--grid-n", "32"],
+        ["seminorm", "--f", "trig:seed=1", "--grid-n", "64", "--stride", "8",
+         "--box-side", "8e155", "--box-lower", "0", "0"],
+        ["seminorm", "--f", "checker", "--grid-n", "64", "--stride", "8",
+         "--box-side", "8e155", "--box-lower", "0", "0"],
+        ["carleson", "--grid-n", "64", "--stride", "8", "--box-side", "8e155",
+         "--box-lower", "0", "0"],
         # a box corner 2^52 cells or more from 0
         ["seminorm", "--f", "log", "--grid-n", "32", "--box-lower", "1e17", "0",
          "--box-side", "1"],
@@ -464,6 +474,35 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     code = (
         "import sys, oscillab.cli; print(' '.join(m for m in ('scipy.optimize', "
         "'scipy.sparse', 'scipy.spatial', 'scipy.ndimage') if m in sys.modules))"
+    )
+    src = str(Path(oscillab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
+
+
+MAPS = "strain:t=0.5;strain:t=1;shear:lambda=2;twist:alpha=3"
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["sweep", "--kind", "bmo-composition", "--grid-n", "32", "--maps", MAPS], ()),
+    (["sweep", "--kind", "carleson", "--grid-n", "32", "--maps", MAPS], ()),
+    (["transport", "--grid-n", "32"], ()),
+    (["perturbed", "--grid-n", "32"], ("scipy.sparse",)),
+    (["sweep", "--kind", "covering", "--grid-n", "32", "--maps", MAPS],
+     ("scipy.ndimage", "scipy.spatial")),
+])
+def test_command_loads_only_the_scipy_it_runs(argv, allowed):
+    # ``allowed`` and their own dependencies are imported first; the command
+    # may load no scipy module beyond them (scipy.optimize alone would add
+    # about 49 MB of RSS to every command)
+    code = "".join(f"import {m}\n" for m in allowed) + (
+        "import contextlib, io, sys\n"
+        "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+        "before = loaded()\n"
+        "from oscillab.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0\n"
+        "print(' '.join(sorted(loaded() - before)))"
     )
     src = str(Path(oscillab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.errors import TooFewPoints
-from oscillab.fits import fit_models, rms_relative
+from oscillab.fits import bounded_minimum, fit_models, rms_relative
 
 
 XS = [2.0, 4.0, 8.0, 16.0, 32.0]
@@ -78,3 +80,28 @@ def test_power_exponent_bounded_by_dimension():
     pts = [(x, x**3.0) for x in XS]
     f = fit_models(pts, eps_max=2.0)["power"]
     assert f.coeffs[1] <= 2.0 + 1e-9
+
+
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from(["polynomial", "smooth", "kink", "plateau"]),
+    coeffs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5),
+    c=st.floats(-3.0, 3.0),
+    lo=st.floats(-5.0, 1.0),
+    width=st.floats(0.0, 6.0),
+    log_xatol=st.floats(-9.0, -3.0),
+)
+def test_bounded_minimum_is_scipys_bounded_search(kind, coeffs, c, lo, width, log_xatol):
+    # the kink |x - c| and the flat plateau of width 2 around c reach the
+    # search's tie branches (fu == fx, nfc == xf)
+    from scipy.optimize import minimize_scalar
+
+    func = {
+        "polynomial": lambda x: float(np.polyval(coeffs, x)),
+        "smooth": lambda x: math.sin(3.0 * x) + c * c * x * x,
+        "kink": lambda x: abs(x - c),
+        "plateau": lambda x: max(abs(x - c) - 1.0, 0.0),
+    }[kind]
+    hi, xatol = lo + width, 10.0**log_xatol
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert bounded_minimum(func, lo, hi, xatol=xatol) == (res.x, res.fun)
