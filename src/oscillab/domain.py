@@ -96,9 +96,12 @@ class Grid:
 
     def cell_centers(self) -> np.ndarray:
         """All cell centers as an (n^d, d) array, C-ordered over axis indices."""
-        axes = [np.asarray(self.box.lower)[k] + self.axis_centers() for k in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        n, d = self.n, self.d
+        axis = self.axis_centers()
+        out = np.empty((n,) * d + (d,))
+        for k in range(d):
+            out[..., k] = (self.box.lower[k] + axis).reshape((n,) + (1,) * (d - 1 - k))
+        return out.reshape(-1, d)
 
     def flat_index(self, idx: tuple) -> np.ndarray:
         return np.ravel_multi_index(idx, (self.n,) * self.d, mode="wrap")
@@ -256,20 +259,42 @@ def distance_transform(mask: PixelMask) -> DistanceField:
 
     scipy's linear-time transform (Maurer, Qi and Raghavan 2003), exact up to
     the cell-center discretization of the complement (error at most
-    h * sqrt(d)); complement cells carry zero. Periodic masks are padded
-    by half a period of wrapped cells per side, which holds the shortest
-    wrapped displacement (at most n/2 cells per axis) of every central cell.
+    h * sqrt(d)); complement cells carry zero. scipy sees the smallest
+    array that holds every cell's nearest complement cell:
+
+    - On a window, the mask's bounding box widened by one cell per side and
+      clipped to the grid. A complement cell outside that box is farther
+      from every cell of the box than its per-axis clamp onto the box, and
+      that clamp lies on the widened ring, outside the mask, so it is a
+      complement cell too.
+    - On a torus, the grid wrap-padded by p = min(n/2, ceil((count /
+      omega_d)^(1/d) + sqrt(d)/2)) cells per side, omega_d the volume of
+      the unit ball. If a mask cell is D cells from the complement, every
+      cell whose center is nearer than D to it is a mask cell, and those
+      cells cover the ball of radius D - sqrt(d)/2 around it. While that
+      radius is at most n/2 the ball does not overlap its wrapped copies,
+      so count >= omega_d (D - sqrt(d)/2)^d and D <= p: the nearest
+      complement cell, at most D cells away per axis, lies inside the
+      padded array. A larger radius makes count >= omega_d (n/2)^d and p =
+      n/2, half a period, which holds every shortest wrapped displacement.
     """
     from scipy.ndimage import distance_transform_edt
 
     grid = mask.grid
-    if mask.count == 0 or mask.count == grid.size:
+    n, d, count = grid.n, grid.d, mask.count
+    if count == 0 or count == grid.size:
         raise DegenerateMask("mask must be neither empty nor full")
-    pad = grid.n // 2 if grid.box.periodic else 0
-    bits = np.pad(mask.bits.reshape((grid.n,) * grid.d), pad, mode="wrap")
-    dist = distance_transform_edt(bits, sampling=grid.h)
-    center = (slice(pad, pad + grid.n),) * grid.d
-    return DistanceField(grid, dist[center].ravel())
+    bits = mask.bits.reshape((n,) * d)
+    if grid.box.periodic:
+        reach = (count / unit_ball_volume(d)) ** (1.0 / d) + math.sqrt(d) / 2
+        pad = min(n // 2, math.ceil(reach))
+        dist = distance_transform_edt(np.pad(bits, pad, mode="wrap"), sampling=grid.h)
+        return DistanceField(grid, dist[(slice(pad, pad + n),) * d].ravel())
+    rows = [np.flatnonzero(bits.any(axis=tuple(j for j in range(d) if j != k))) for k in range(d)]
+    support = tuple(slice(max(r[0] - 1, 0), min(r[-1] + 2, n)) for r in rows)
+    dist = np.zeros((n,) * d)
+    dist[support] = distance_transform_edt(bits[support], sampling=grid.h)
+    return DistanceField(grid, dist.ravel())
 
 
 # Cap on the cells of one gathered (balls x cells) index block, so the
@@ -377,7 +402,8 @@ class BallFamily(Sequence):
         ``_BLOCK_CELLS`` cells. On a torus, a ball that crosses the seam has
         its cells wrapped axis by axis and sorted back into ascending
         (``cells_in_ball``) order; its wrapped stencil is a few ascending
-        runs, which a stable sort merges in close to linear time.
+        runs, which a stable sort merges in close to linear time. Only the
+        other balls take the unwrapped rows.
         """
         n, d = self.grid.n, self.grid.d
         for group in self._groups:
@@ -389,15 +415,18 @@ class BallFamily(Sequence):
             lowest, highest = group.offsets.min(axis=0), group.offsets.max(axis=0)
             for lo in range(0, len(members), per):
                 block = cells[lo:lo + per]
-                idx = (block @ self._strides)[:, None] + group.stencil
-                if self.grid.box.periodic:
-                    wraps = np.any((block + lowest < 0) | (block + highest >= n), axis=1)
-                    if wraps.any():
-                        # Grid makes n a power of two, so & (n - 1) is the wrap % n
-                        moved, flat = block[wraps], 0
-                        for k in range(d):
-                            flat = flat * n + ((moved[:, k, None] + group.offsets[:, k]) & (n - 1))
-                        idx[wraps] = np.sort(flat, axis=1, kind="stable")
+                if not self.grid.box.periodic:
+                    yield members[lo:lo + per], (block @ self._strides)[:, None] + group.stencil
+                    continue
+                wraps = np.any((block + lowest < 0) | (block + highest >= n), axis=1)
+                idx = np.empty((len(block), len(group.stencil)), dtype=np.intp)
+                idx[~wraps] = (block[~wraps] @ self._strides)[:, None] + group.stencil
+                if wraps.any():
+                    # Grid makes n a power of two, so & (n - 1) is the wrap % n
+                    moved, flat = block[wraps], 0
+                    for k in range(d):
+                        flat = flat * n + ((moved[:, k, None] + group.offsets[:, k]) & (n - 1))
+                    idx[wraps] = np.sort(flat, axis=1, kind="stable")
                 yield members[lo:lo + per], idx
 
     def ball_sums(self, values, which=None) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.domain import (
     Ball,
@@ -256,6 +258,70 @@ def test_distance_transform_matches_brute_force(d, n, periodic):
         bits[:2] = (True, False)  # neither empty nor full
         mask = PixelMask(g, bits)
         assert np.array_equal(distance_transform(mask).dist, _brute_force_distance(mask))
+
+
+def _edt_on_whole_grid(mask):
+    """scipy's transform on the whole window, or on the torus grid
+    wrap-padded by half a period per side."""
+    from scipy.ndimage import distance_transform_edt
+
+    g = mask.grid
+    pad = g.n // 2 if g.box.periodic else 0
+    bits = np.pad(mask.bits.reshape((g.n,) * g.d), pad, mode="wrap")
+    dist = distance_transform_edt(bits, sampling=g.h)
+    return dist[(slice(pad, pad + g.n),) * g.d].ravel()
+
+
+@st.composite
+def _blob_masks(draw):
+    """A mask of up to three blobs (disks in cell units, stretched along
+    some axes) or a single cell, on a window or torus of any corner and
+    side; a boundary blob is centered on or next to the grid's edge, so on
+    a torus it crosses the seam."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from({1: [8, 64, 256], 2: [8, 32, 64], 3: [8, 16]}[d]))
+    side = draw(st.sampled_from([1.0, 2.0, 0.7, 1.7, 3.1, 1e-3]))
+    lower = draw(st.tuples(*[st.floats(-10.0, 10.0)] * d))
+    g = Grid(Box(lower, side, draw(st.booleans())), n)
+    kind = draw(st.sampled_from(["blobs", "boundary", "cell"]))
+    bits = np.zeros(g.size, dtype=bool)
+    if kind == "cell":
+        bits[draw(st.integers(0, g.size - 1))] = True
+        return PixelMask(g, bits)
+    cells = np.indices((n,) * d).reshape(d, -1).T
+    for _ in range(draw(st.integers(1, 3))):
+        center = np.array(draw(st.tuples(*[st.floats(0.0, n - 1.0)] * d)))
+        if kind == "boundary":
+            axis = draw(st.integers(0, d - 1))
+            center[axis] = draw(st.sampled_from([-0.5, 0.0, 0.5, n - 1.5, n - 1.0, n - 0.5]))
+        stretch = np.array(draw(st.tuples(*[st.sampled_from([1.0, 1.0, 2.0, 3.0])] * d)))
+        # a radius of a cell or more holds the cell nearest the center
+        radius = draw(st.floats(1.0, n / 3))
+        disp = cells - center
+        if g.box.periodic:
+            disp -= n * np.round(disp / n)
+        bits |= ((disp / stretch) ** 2).sum(axis=1) <= radius**2
+    bits[0] &= not bits.all()  # neither empty nor full
+    return PixelMask(g, bits)
+
+
+@settings(max_examples=200)
+@given(_blob_masks())
+def test_distance_transform_matches_whole_grid_transform(mask):
+    # the transform of the mask's support (window) or of the reduced wrap
+    # pad (torus) equals the whole-grid one bit for bit
+    want = _edt_on_whole_grid(mask)
+    assert distance_transform(mask).dist.tobytes() == want.tobytes()
+
+
+def test_cell_centers_match_meshgrid():
+    for d in (1, 2, 3):
+        g = Grid(Box((0.1, -0.3, 7.0)[:d], 1.7, periodic=d == 2), 16)
+        low = np.asarray(g.box.lower)
+        mesh = np.meshgrid(*[low[k] + g.axis_centers() for k in range(d)], indexing="ij")
+        want = np.stack([m.ravel() for m in mesh], axis=-1)
+        got = g.cell_centers()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_distance_transform_degenerate():

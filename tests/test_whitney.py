@@ -249,6 +249,51 @@ def _sawtooth(y):
     return np.minimum(u, 1.0 - u)
 
 
+def _edt_shapes(monkeypatch) -> list:
+    """Shapes of the arrays handed to scipy's distance transform from now on."""
+    import scipy.ndimage
+
+    shapes, edt = [], scipy.ndimage.distance_transform_edt
+
+    def spy(bits, **kwargs):
+        shapes.append(bits.shape)
+        return edt(bits, **kwargs)
+
+    monkeypatch.setattr(scipy.ndimage, "distance_transform_edt", spy)
+    return shapes
+
+
+def test_torus_cover_transforms_a_reduced_pad(monkeypatch):
+    # criterion 02's sawtooth-shear covers: the image of a ball of radius
+    # 1/8 fills about 5% of the torus, so the wrap pad stays under n/2
+    g = Grid(TORUS, 256)
+    ball = Ball((0.5, 0.5), 0.125)
+    sawtooth = lambda y: np.minimum(np.mod(y, 1.0), 1.0 - np.mod(y, 1.0))
+    shapes = _edt_shapes(monkeypatch)
+    for t in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        phi = make_shear(math.exp(t) - math.exp(-t), profile=sawtooth, profile_lip=1.0)
+        whitney_decompose(image_mask(phi, ball, g), source_ball=ball)
+        pad = (shapes[-1][0] - g.n) // 2
+        assert shapes[-1] == (g.n + 2 * pad,) * 2 and pad < g.n // 2
+    assert len(shapes) == 6
+
+
+@pytest.mark.parametrize("phi, center", [(make_linear_strain(0.6), (0.3, -0.5)),
+                                         (make_identity(), (-1.9, 1.8))])
+def test_window_cover_transforms_the_mask_support(monkeypatch, phi, center):
+    # the mask's bounding box plus a ring of one cell, clipped to the grid
+    # where the mask touches the window's edge
+    g = Grid(BIG, 256)
+    ball = Ball(center, 0.4)
+    mask = image_mask(phi, ball, g)
+    rows = np.nonzero(mask.bits.reshape(g.n, g.n))
+    want = tuple(min(r.max() + 2, g.n) - max(r.min() - 1, 0) for r in rows)
+    shapes = _edt_shapes(monkeypatch)
+    whitney_decompose(mask, source_ball=ball)
+    assert shapes == [want]
+    assert want[0] * want[1] < g.size // 4
+
+
 def test_image_mask_rejects_non_torus_map():
     # strain does not carry the period lattice to itself: on the torus its
     # mask used to count cells near every periodic copy of the ball
