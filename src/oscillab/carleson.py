@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, BallFamily, Grid, GridFunction, cells_in_ball, interpolate, points_in_ball
+from .domain import (
+    Ball,
+    BallFamily,
+    Grid,
+    GridFunction,
+    Sup,
+    cells_in_ball,
+    interpolate,
+    points_in_ball,
+)
 from .errors import HeightExceeded, NonPeriodic
 from .maps import BiLipMap
 
@@ -74,23 +83,6 @@ def density_from_callable(grid: Grid, T: float, beta) -> CarlesonDensity:
     return CarlesonDensity(grid, T, np.stack(rows), beta)
 
 
-@dataclass(frozen=True)
-class CarlesonBox:
-    """Box over a ball: base B, heights (0, r_B]."""
-
-    base: Ball
-
-    @property
-    def height(self) -> float:
-        return self.base.radius
-
-
-@dataclass(frozen=True)
-class CarlesonNorm:
-    value: float
-    argmax_ball: Ball
-
-
 def shell_weight(mu: CarlesonDensity, r: float) -> np.ndarray:
     """The shells of a box of height r folded into one field: the sum over
     t_j <= r of beta_j^2 * cell volume * log 2, so that the box's mass is
@@ -104,14 +96,16 @@ def shell_weight(mu: CarlesonDensity, r: float) -> np.ndarray:
     return w
 
 
-def box_mass(mu: CarlesonDensity, box: CarlesonBox) -> float:
-    """Measure of the box: the folded shell field summed over the base ball."""
-    return float(shell_weight(mu, box.height)[cells_in_ball(mu.grid, box.base)].sum())
+def box_mass(mu: CarlesonDensity, ball: Ball) -> float:
+    """Measure of the box over the ball B, heights (0, r_B]: the folded shell
+    field summed over the cells of B."""
+    return float(shell_weight(mu, ball.radius)[cells_in_ball(mu.grid, ball)].sum())
 
 
-def carleson_norm(mu: CarlesonDensity, family) -> CarlesonNorm:
-    """Sup over the family of box mass over base ball volume; each block of
-    balls is one gather of the folded shell field of its radius.
+def carleson_norm(mu: CarlesonDensity, family) -> Sup:
+    """Sup over the family of box mass over base ball volume, and its argmax
+    ball; each block of balls is one gather of the folded shell field of its
+    radius.
 
     Only balls whose mass can reach the sup are gathered. With w >= 0 the
     field of a ball's radius, S its ball sum, c its cell count and s the
@@ -134,8 +128,7 @@ def carleson_norm(mu: CarlesonDensity, family) -> CarlesonNorm:
     slack = family.sum_slack
     top = w.max(axis=1)[which]
     bound = (mass * (1 + slack) + slack * family.counts * top) / family.volumes
-    value, ball = family.sup(rows, bound)
-    return CarlesonNorm(value, ball)
+    return family.sup(rows, bound)
 
 
 def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
@@ -161,19 +154,18 @@ def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
     return CarlesonDensity(mu.grid, mu.T, rows)
 
 
-def pullback_set_mass(
-    mu: CarlesonDensity, phi: BiLipMap, box: CarlesonBox
-) -> float:
-    """Box mass of the pull-back computed in set form: mu(I x phi(B)).
+def pullback_set_mass(mu: CarlesonDensity, phi: BiLipMap, ball: Ball) -> float:
+    """Mass of the pull-back's box over the ball B computed in set form:
+    mu(I x phi(B)), I = (0, r_B].
 
     Change of variables with unit Jacobian turns the integral of
     beta(t, phi(x))^2 over B into the integral of beta(t, y)^2 over the
     image phi(B). Cross-check for the density form: both agree up to
     rasterization because the map preserves measure.
     """
-    w = shell_weight(mu, box.height)
+    w = shell_weight(mu, ball.radius)
     pre = phi.inverse(mu.grid.cell_centers())
-    return float(w[points_in_ball(mu.grid.box, pre, box.base.center, box.base.radius)].sum())
+    return float(w[points_in_ball(mu.grid.box, pre, ball.center, ball.radius)].sum())
 
 
 def sc_class_check(mu: CarlesonDensity, family) -> bool:

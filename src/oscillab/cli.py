@@ -26,16 +26,11 @@ import numpy as np
 
 from . import carleson as carl
 from . import corpus, maps
-from .domain import Ball, Box, Grid, GridFunction, ball_family
+from .domain import Ball, Box, Grid, GridFunction, Sup, ball_family
 from .errors import BadParameter, OscillabError, SpecError, UnknownName, ZeroSeminorm
 from .fits import FitResult, fit_models
-from .oscillation import OscillationParams, SeminormEstimate, compose, seminorm
-from .transport import (
-    TransportProblem,
-    perturbed_growth_comparison,
-    solve_perturbed,
-    solve_transport,
-)
+from .oscillation import OscillationParams, compose, seminorm
+from .transport import perturbed_growth_comparison, solve_perturbed, solve_transport
 from .whitney import covering_statistic, image_mask, shell_histogram, whitney_decompose
 
 
@@ -138,7 +133,7 @@ def _resolve_function(spec: str, grid: Grid) -> tuple:
         raise UnknownName(f"unknown builtin function {name!r}")
     given = _given(spec, kv, corpus.FUNCTIONS[name][1], "function")
     try:
-        with np.errstate(divide="raise", invalid="raise"):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
             fn = corpus.builtin_function(name, grid, **given)
             return fn, fn if isinstance(fn, GridFunction) else GridFunction.from_callable(grid, fn)
     except (ArithmeticError, ValueError) as exc:
@@ -286,7 +281,7 @@ def _growth_fits(points: dict, grid: Grid) -> dict:
             for key, pts in sorted(points.items()) if len(pts) >= 4}
 
 
-def _seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEstimate:
+def _seminorm(f: GridFunction, params: OscillationParams, family) -> Sup:
     """``seminorm``, with a value that overflows an error."""
     est = seminorm(f, params, family)
     if not math.isfinite(est.value):
@@ -298,16 +293,17 @@ def _seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEst
 def _run_composition(spec: SweepSpec, grid: Grid):
     family = spec.family(grid)
     params = OscillationParams(p=spec.p, a=spec.a)
+    # each map is built and its K estimated once, not once per function
+    phis = [parse_map(mspec) for mspec in spec.maps]
+    k_ests = [maps.estimate_K(phi, seed=spec.seed, box=grid.box) for phi in phis]
     rows, points = [], {}
     for fname in spec.functions:
         fn, f = _resolve_function(fname, grid)
         s_in = _seminorm(f, params, family).value
-        for mspec in spec.maps:
-            phi = parse_map(mspec)
+        for mspec, phi, k_est in zip(spec.maps, phis, k_ests):
             if s_in <= 0:
                 raise ZeroSeminorm("cannot form a composition ratio for a constant")
             ratio = _seminorm(compose(fn, phi, grid), params, family).value / s_in
-            k_est = maps.estimate_K(phi, seed=spec.seed, box=grid.box)
             rows.append({"map": phi.name, "params": mspec, "function": fname,
                          "K_analytic": phi.K, "K_estimated": k_est, "seminorm_in": s_in,
                          "seminorm_out": ratio * s_in, "ratio": ratio})
@@ -371,7 +367,7 @@ def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
 
 
 def _solve_transport(spec: SweepSpec, grid: Grid, v, fn, u0) -> list:
-    return solve_transport(TransportProblem(v, fn, grid, max(spec.times), spec.dt), spec.times)
+    return solve_transport(v, fn, grid, spec.dt, spec.times)
 
 
 def _solve_perturbed(spec: SweepSpec, grid: Grid, v, fn, u0) -> list:

@@ -48,17 +48,17 @@ def holder_cusp(a: float, center=(0.0, 0.0), box: Box | None = None):
     return fn
 
 
-def sawtooth(k: int = 1, axis: int = 0):
-    """1-Lipschitz periodic triangle wave with k teeth per unit length."""
+def sawtooth(k: int = 1):
+    """1-Lipschitz periodic triangle wave in x with k teeth per unit length."""
 
     def fn(pts):
-        u = np.mod(pts[:, axis] * k, 1.0)
+        u = np.mod(pts[:, 0] * k, 1.0)
         return np.minimum(u, 1.0 - u) / k
 
     return fn
 
 
-def trig_poly(seed: int = 0, modes: int = 3, scale: float = 1.0):
+def trig_poly(seed: int = 0, modes: int = 3):
     """Seeded random trigonometric polynomial on the unit torus."""
     rng = np.random.default_rng(seed)
     ks = rng.integers(1, 4, size=(modes, 2))
@@ -69,7 +69,7 @@ def trig_poly(seed: int = 0, modes: int = 3, scale: float = 1.0):
         out = np.zeros(len(pts))
         for (k1, k2), amp, ph in zip(ks, amps, phases):
             out += amp * np.sin(2 * math.pi * (k1 * pts[:, 0] + k2 * pts[:, 1]) + ph)
-        return scale * out
+        return out
 
     return fn
 

@@ -135,6 +135,27 @@ class Ball:
         return unit_ball_volume(self.d) * self.radius**self.d
 
 
+class Sup(NamedTuple):
+    """The sup of a value over a ball family and the first ball that attains it."""
+
+    value: float
+    argmax_ball: Ball
+
+
+class Balls(Sequence):
+    """The balls of the (k, d) array ``centers`` and the (k,) array ``radii``,
+    in that order, each built as a ``Ball`` when asked for."""
+
+    def __init__(self, centers: np.ndarray, radii: np.ndarray):
+        self.centers, self.radii = centers, radii
+
+    def __len__(self) -> int:
+        return len(self.radii)
+
+    def __getitem__(self, i) -> Ball:
+        return Ball(tuple(self.centers[i].tolist()), float(self.radii[i]))
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real scalar samples at the cell centers of a grid (flat, C-ordered)."""
@@ -314,7 +335,7 @@ class _Group(NamedTuple):
     runs: np.ndarray  # (runs, d + 1): leading offsets, first and last offset on the last axis
 
 
-class BallFamily(Sequence):
+class BallFamily(Balls):
     """Immutable ball family compiled for one grid, from the (k, d) array of
     its centers and the (k,) array of its radii.
 
@@ -323,17 +344,17 @@ class BallFamily(Sequence):
     other and form a group that stores integer center cells and one stencil
     of cell offsets, taken from ``cells_in_ball`` on the group's first ball.
     On a window, a ball whose searched cells leave the grid has its stencil
-    clipped and is a group of its own. As a sequence it holds the balls in
-    the order they were given, each built as a ``Ball`` when asked for;
-    ``radii``, ``volumes`` and ``counts`` hold each ball's radius, volume
-    and number of cells in that order.
+    clipped and is a group of its own. As ``Balls`` it holds the balls in
+    the order they were given; ``volumes`` and ``counts`` hold each ball's
+    volume and number of cells in that order.
     """
 
     def __init__(self, grid: Grid, centers, radii):
         self.grid = grid
         n, d = grid.n, grid.d
-        self.centers = centers = np.asarray(centers, dtype=float).reshape(-1, d)
-        self.radii = radii = np.asarray(radii, dtype=float)
+        centers = np.asarray(centers, dtype=float).reshape(-1, d)
+        radii = np.asarray(radii, dtype=float)
+        super().__init__(centers, radii)
         if not len(radii):
             raise EmptyFamily("ball family is empty")
         cells, delta, lo, hi = _lattice(grid, centers, radii)
@@ -386,12 +407,6 @@ class BallFamily(Sequence):
         # bounds built on up to three ball sums.
         w = n + 2 * self._margin
         self.sum_slack = 8 * np.finfo(float).eps * (w * w + int(self.counts.max()))
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-    def __getitem__(self, i) -> Ball:
-        return Ball(tuple(self.centers[i].tolist()), float(self.radii[i]))
 
     def blocks(self, select=None):
         """Yield (balls, idx): ``idx[k]`` holds the flat cell indices of the
@@ -473,7 +488,7 @@ class BallFamily(Sequence):
             return out[0]
         return out.reshape(values.shape[:-1] + (len(self),))
 
-    def sup(self, rows, bound) -> tuple:
+    def sup(self, rows, bound) -> Sup:
         """Largest value over the family and the first ball (in family order)
         that attains it; ``rows(ball, idx)`` returns the values of the balls
         whose cells ``idx`` holds, one row each, all of the radius of ``ball``.
@@ -496,7 +511,7 @@ class BallFamily(Sequence):
             # then the balls not yet gathered whose bound reaches the best value
             select = (bound >= vals.max()) & np.isneginf(vals)
         k = int(np.argmax(vals))
-        return float(vals[k]), self[k]
+        return Sup(float(vals[k]), self[k])
 
     @classmethod
     def on(cls, grid: Grid, balls) -> "BallFamily":

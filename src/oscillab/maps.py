@@ -323,9 +323,7 @@ def _sample_box(box: Box, count: int, rng, margin: float = 0.0) -> np.ndarray:
     return low + side * rng.random((count, box.d))
 
 
-def estimate_K(
-    phi: BiLipMap, samples: int = 2000, seed: int = 0, box: Box | None = None
-) -> float:
+def estimate_K(phi: BiLipMap, box: Box, samples: int = 2000, seed: int = 0) -> float:
     """Sampling lower bound for the distortion constant of phi.
 
     Combines max difference quotients over random point pairs with operator
@@ -334,8 +332,6 @@ def estimate_K(
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if box is None:
-        box = Box((-1.0, -1.0), 2.0)
     rng = np.random.default_rng(seed)
     margin = 1e-3 * box.side
     x = _sample_box(box, samples, rng, margin)
@@ -357,12 +353,8 @@ def estimate_K(
     return lip_f + lip_i
 
 
-def check_inverse_consistency(
-    phi: BiLipMap, samples: int = 1000, seed: int = 0, box: Box | None = None
-) -> float:
+def check_inverse_consistency(phi: BiLipMap, box: Box, samples: int = 1000, seed: int = 0) -> float:
     """Max |inverse(forward(x)) - x| over random sample points."""
-    if box is None:
-        box = Box((-1.0, -1.0), 2.0)
     rng = np.random.default_rng(seed)
     x = _sample_box(box, samples, rng)
     return float(np.abs(phi.inverse(phi.forward(x)) - x).max())
@@ -398,17 +390,13 @@ def check_measure_preserving(
     return MeasureReport(max_det_err, float(mass_err))
 
 
-def check_lip_inverse_bound(
-    phi: BiLipMap, samples: int = 1000, seed: int = 0, box: Box | None = None
-) -> bool:
+def check_lip_inverse_bound(phi: BiLipMap, box: Box, samples: int = 1000, seed: int = 0) -> bool:
     """Verify |D phi^-1| <= |D phi|^(d-1) at sampled points (equality in 2D).
 
     For a measure-preserving map the singular values multiply to one, so the
     inverse Jacobian norm is controlled by a power of the forward one; in two
     dimensions the two operator norms coincide pointwise.
     """
-    if box is None:
-        box = Box((-1.0, -1.0), 2.0)
     rng = np.random.default_rng(seed)
     pts = _sample_box(box, samples, rng, margin=1e-3 * box.side)
     jac = fd_jacobian(phi.forward, pts, _FD_STEP * max(1.0, box.side))

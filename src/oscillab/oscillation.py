@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, BallFamily, Grid, GridFunction, ball_average, interpolate
+from .domain import Ball, BallFamily, Grid, GridFunction, Sup, ball_average, interpolate
 from .errors import BadParameter, DomainError, OutOfDomain, ZeroSeminorm
 from .maps import BiLipMap
 
@@ -45,14 +45,6 @@ class OscillationParams:
             raise BadParameter(f"a must lie in [0, 1], got {self.a:g}")
 
 
-@dataclass(frozen=True)
-class SeminormEstimate:
-    """Value of the family sup together with the ball achieving it."""
-
-    value: float
-    argmax_ball: Ball
-
-
 def rho(a: float, r: float) -> float:
     """Scale gauge: r^a for a > 0, log r for a = 0; defined for ratios >= 1."""
     if r < 1.0 - 1e-12:
@@ -61,9 +53,10 @@ def rho(a: float, r: float) -> float:
     return r**a if a > 0 else math.log(r)
 
 
-def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEstimate:
-    """Max over the ball family of oscillation(B) / |B|^(a/d); inf, without
-    a warning, where a deviation's p-th power overflows."""
+def seminorm(f: GridFunction, params: OscillationParams, family) -> Sup:
+    """Max over the ball family of oscillation(B) / |B|^(a/d), and its
+    argmax ball; inf, without a warning, where a deviation's p-th power
+    overflows."""
     family = BallFamily.on(f.grid, family)
     inv_p = 1.0 / params.p
     scale = params.a / f.grid.d
@@ -80,8 +73,7 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> SeminormEsti
         return np.array(osc) / ball.volume**scale
 
     bound = _oscillation_bound(f, family, params.p) / family.volumes**scale
-    value, ball = family.sup(rows, bound)
-    return SeminormEstimate(value, ball)
+    return family.sup(rows, bound)
 
 
 def _oscillation_bound(f: GridFunction, family: BallFamily, p: float) -> np.ndarray:

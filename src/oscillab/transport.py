@@ -14,7 +14,6 @@ steps are merged into one real-FFT step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,25 +25,6 @@ from .fits import bounded_minimum, rms_relative
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
-
-
-@dataclass(frozen=True)
-class TransportProblem:
-    """Advection of an initial profile by a divergence-free field."""
-
-    v: VectorField
-    u0: object  # GridFunction or callable over (N, d) points
-    grid: Grid
-    t_end: float
-    step: float
-
-    def __post_init__(self):
-        if not 0 < self.step < math.inf:
-            raise BadParameter(f"time step {self.step:g} must be finite and positive")
-        if self.step * self.v.lip > 0.1 and self.v.lip > 0:
-            raise StepTooLarge(
-                f"step {self.step} too large for Lipschitz constant {self.v.lip}"
-            )
 
 
 def _check_times(times, t_end: float, step: float) -> None:
@@ -72,8 +52,11 @@ def _evaluate_initial(u0, grid: Grid, pts: np.ndarray) -> np.ndarray:
     return np.asarray(u0(pts), dtype=float)
 
 
-def solve_transport(prob: TransportProblem, times) -> list:
-    """Solution snapshots at ``times`` (each in [0, t_end]), in the order asked.
+def solve_transport(v: VectorField, u0, grid: Grid, step: float, times) -> list:
+    """Snapshots on ``grid`` of the profile ``u0`` (a GridFunction or a
+    callable over (N, d) points) advected by the divergence-free field v
+    with RK4 steps of length ``step``, at ``times`` (each nonnegative), in
+    the order asked.
 
     For a steady field the backward flow composes, Phi_{-t2} =
     Phi_{-(t2 - t1)} o Phi_{-t1}, so the RK4 feet of the cell centers are
@@ -81,15 +64,18 @@ def solve_transport(prob: TransportProblem, times) -> list:
     wrapped onto the torus only to evaluate ``u0``; a t = 0 snapshot is ``u0``
     at the cell centers.
     """
-    _check_times(times, prob.t_end, prob.step)
-    grid = prob.grid
+    if not 0 < step < math.inf:
+        raise BadParameter(f"time step {step:g} must be finite and positive")
+    if step * v.lip > 0.1 and v.lip > 0:
+        raise StepTooLarge(f"step {step} too large for Lipschitz constant {v.lip}")
+    _check_times(times, max(times, default=0.0), step)
     low = np.asarray(grid.box.lower)
     feet, now, out = grid.cell_centers(), 0.0, {}
     for t in sorted(set(times)):
-        feet = _rk4(lambda y: -prob.v(y), feet, t - now, prob.step)
+        feet = _rk4(lambda y: -v(y), feet, t - now, step)
         now = t
         at = low + np.mod(feet - low, grid.box.side) if grid.box.periodic and t > 0 else feet
-        out[t] = GridFunction(grid, _evaluate_initial(prob.u0, grid, at))
+        out[t] = GridFunction(grid, _evaluate_initial(u0, grid, at))
     return [out[t] for t in times]
 
 

@@ -18,7 +18,6 @@ for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .domain import (
     Ball,
     BallFamily,
+    Balls,
     Box,
     Grid,
     PixelMask,
@@ -87,29 +87,15 @@ def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
     return PixelMask(grid, points_in_ball(grid.box, pre, ball.center, ball.radius))
 
 
-class _Balls(Sequence):
-    """The balls of a cover, each built as a ``Ball`` when asked for."""
-
-    def __init__(self, centers: np.ndarray, radii: np.ndarray):
-        self._centers, self._radii = centers, radii
-
-    def __len__(self) -> int:
-        return len(self._radii)
-
-    def __getitem__(self, k) -> Ball:
-        return Ball(tuple(self._centers[k].tolist()), float(self._radii[k]))
-
-
 @dataclass(frozen=True, eq=False)
 class WhitneyCover:
     """Disjoint balls inside an open set whose doubles cover it.
 
     The balls are held as arrays, in the cover's order: ``centers`` is
-    (k, d) and ``radii`` is (k,). ``balls`` is a sequence over them that
-    builds each ``Ball`` only when it is asked for. ``whitney_ratios``
-    certifies comparability of ball size and boundary distance: diameter of
-    the ball over the distance from its center to the complement, one entry
-    per ball.
+    (k, d) and ``radii`` is (k,). ``balls`` is the ``Balls`` sequence over
+    them. ``whitney_ratios`` certifies comparability of ball size and
+    boundary distance: diameter of the ball over the distance from its
+    center to the complement, one entry per ball.
     """
 
     centers: np.ndarray
@@ -120,8 +106,8 @@ class WhitneyCover:
     uncovered_fraction: float
 
     @property
-    def balls(self) -> Sequence:
-        return _Balls(self.centers, self.radii)
+    def balls(self) -> Balls:
+        return Balls(self.centers, self.radii)
 
 
 def _accepted_cubes(bits2d: np.ndarray, dist2d: np.ndarray, h: float) -> np.ndarray:

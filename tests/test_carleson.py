@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from oscillab.carleson import (
-    CarlesonBox,
     CarlesonDensity,
     bmo_to_carleson,
     box_mass,
@@ -61,7 +60,7 @@ def test_box_mass_height_guard():
     g = Grid(WINDOW, 128)
     mu = builtin_density("strip", g)
     with pytest.raises(HeightExceeded):
-        box_mass(mu, CarlesonBox(Ball((0.0, 0.0), 2.0)))
+        box_mass(mu, Ball((0.0, 0.0), 2.0))
     with pytest.raises(HeightExceeded):
         carleson_norm(mu, [Ball((0.0, 0.0), 0.5), Ball((0.0, 0.0), 2.0)])
 
@@ -106,9 +105,9 @@ def test_pullback_density_vs_set_form():
     mu = builtin_density("strip", g)
     phi = make_linear_strain(-1.0)
     pb = pullback(mu, phi)
-    box = CarlesonBox(Ball((0.0, 0.0), 0.25))
-    m_density = box_mass(pb, box)
-    m_set = pullback_set_mass(mu, phi, box)
+    ball = Ball((0.0, 0.0), 0.25)
+    m_density = box_mass(pb, ball)
+    m_set = pullback_set_mass(mu, phi, ball)
     assert m_density == pytest.approx(m_set, rel=0.01)
 
 

@@ -1,8 +1,10 @@
 """Sweep specs, map grammar, CSV output, determinism, CLI errors."""
 
+import argparse
 import csv
 import io
 import math
+import re
 import resource
 import shlex
 import subprocess
@@ -361,6 +363,8 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "trig:seed=-1", "--grid-n", "32"],
         ["seminorm", "--f", "sawtooth:k=0", "--grid-n", "32"],
         ["seminorm", "--f", "bump:radius=0", "--grid-n", "32"],
+        # samples that overflow
+        ["seminorm", "--f", "holder:a=1e300", "--grid-n", "32", "--stride", "4"],
         # a constant has no composition ratio; a mapped point leaves the window
         ["sweep", "--maps", "strain:t=1", "--functions", "bump:radius=1e-6",
          "--grid-n", "64", "--stride", "8"],
@@ -418,6 +422,23 @@ def test_readme_examples_run(tmp_path):
     spec.write_text(readme.split("### Sweep spec files", 1)[1].split("```", 2)[1])
     for line in commands + [f"oscillab sweep --spec {spec}"]:
         assert main(shlex.split(line)[1:] + ["--grid-n", "32"]) == 0, line
+
+
+def test_readme_option_table_matches_parser():
+    """README's "Command line" table lists, per subcommand, exactly the
+    options that ``_parser()`` gives it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Command line", 1)[1].split("```sh", 1)[0]
+    listed = {}
+    for line in table.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 3 and cells[0].strip().startswith("`"):
+            code = re.findall(r"`([^`]*)`", "|".join(cells[1:]))
+            listed[cells[0].strip(" `")] = {c.split()[0] for c in code if c.startswith("--")}
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    given = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert listed == given
 
 
 def test_options_override_spec_file_keys(tmp_path, capsys):

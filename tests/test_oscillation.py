@@ -9,7 +9,6 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from oscillab.carleson import (
-    CarlesonBox,
     CarlesonDensity,
     box_mass,
     carleson_norm,
@@ -227,7 +226,7 @@ def _assert_engine_matches_loop(f, mu, params, family):
     norm = carleson_norm(mu, family)
     k = _first_max(mass)
     assert (norm.value, norm.argmax_ball) == (mass[k], balls[k])
-    assert box_mass(mu, CarlesonBox(balls[k])) / balls[k].volume == mass[k]
+    assert box_mass(mu, balls[k]) / balls[k].volume == mass[k]
 
 
 def _assert_norm_matches_shell_sums(mu, family):

@@ -12,7 +12,6 @@ from oscillab.corpus import log_singularity, trig_poly
 from oscillab.maps import cellular_field, constant_field, strain_field
 from oscillab.transport import (
     RieszOperator,
-    TransportProblem,
     _advection_matrix,
     _catmull_rom_matrix,
     perturbed_growth_comparison,
@@ -27,15 +26,14 @@ WINDOW = Box((-1.0, -1.0), 2.0, periodic=False)
 def test_step_guard():
     g = Grid(WINDOW, 64)
     with pytest.raises(StepTooLarge):
-        TransportProblem(strain_field(), log_singularity(), g, 1.0, 0.5)
+        solve_transport(strain_field(), log_singularity(), g, 0.5, [1.0])
 
 
 def test_constant_advection_is_translation():
     g = Grid(TORUS, 64)
     v = constant_field((0.25, 0.0))
     fn = trig_poly(seed=2, modes=3)
-    prob = TransportProblem(v, fn, g, 1.0, 0.05)
-    (u1,) = solve_transport(prob, [1.0])
+    (u1,) = solve_transport(v, fn, g, 0.05, [1.0])
     shifted = fn(g.cell_centers() - np.array([0.25, 0.0]))
     assert np.abs(u1.values - shifted).max() < 1e-9
 
@@ -47,8 +45,7 @@ def test_transport_constant_along_characteristics():
     g = Grid(WINDOW, 64)
     v = strain_field()
     fn = log_singularity(clamp=2 * g.h)
-    prob = TransportProblem(v, fn, g, 1.0, 0.02)
-    (u1,) = solve_transport(prob, [1.0])
+    (u1,) = solve_transport(v, fn, g, 0.02, [1.0])
     phi = integrate_flow(v, 1.0, 0.02)
     centers = g.cell_centers()
     inside = np.abs(phi.forward(centers)).max(axis=1) < 1.0
@@ -66,12 +63,12 @@ def test_transport_feet_carried_in_order_asked():
     # single-time solve, which integrates from t = 0
     g = Grid(TORUS, 64)
     fn = trig_poly(seed=8, modes=3)
-    prob = TransportProblem(cellular_field(0.03, 1), fn, g, 1.5, 0.02)
+    v = cellular_field(0.03, 1)
     times = [1.5, 0.3, 0.0, 1.5, 0.75]
-    sols = solve_transport(prob, times)
+    sols = solve_transport(v, fn, g, 0.02, times)
     assert len(sols) == len(times)
     for t, sol in zip(times, sols):
-        (alone,) = solve_transport(prob, [t])
+        (alone,) = solve_transport(v, fn, g, 0.02, [t])
         assert np.abs(sol.values - alone.values).max() <= 1e-9 * np.abs(alone.values).max()
     assert np.array_equal(sols[2].values, GridFunction.from_callable(g, fn).values)
 
@@ -80,20 +77,17 @@ def test_strain_transport_matches_analytic_feet():
     # the backward feet of v = (x, -y) are (x e^-t, y e^t)
     g = Grid(WINDOW, 64)
     fn = log_singularity(clamp=2 * g.h)
-    prob = TransportProblem(strain_field(), fn, g, 1.0, 0.02)
     times = [0.4, 1.0, 0.0, 0.7]
     centers = g.cell_centers()
-    for t, sol in zip(times, solve_transport(prob, times)):
+    for t, sol in zip(times, solve_transport(strain_field(), fn, g, 0.02, times)):
         feet = centers * np.array([math.exp(-t), math.exp(t)])
         assert np.abs(sol.values - fn(feet)).max() <= 1e-8
 
 
 def test_transport_time_validation():
-    prob = TransportProblem(constant_field((0.25, 0.0)), trig_poly(seed=2), Grid(TORUS, 32),
-                            1.0, 0.05)
-    for t in (1.25, -0.1):  # output time outside [0, t_end]
-        with pytest.raises(BadParameter):
-            solve_transport(prob, [0.0, t])
+    with pytest.raises(BadParameter):  # a negative output time
+        solve_transport(constant_field((0.25, 0.0)), trig_poly(seed=2), Grid(TORUS, 32), 0.05,
+                        [0.0, -0.1])
 
 
 def test_growth_report_a0_affine_wins():
