@@ -1,10 +1,11 @@
 """Experiment orchestration: map grammar, sweeps, fits, CSV output, CLI.
 
-Maps, vector fields and builtin functions share one grammar,
+Maps, vector fields, builtin functions and densities share one grammar,
 ``name:key=value,key=value`` — e.g. ``shear:lambda=4``, ``strain:t=2``,
-``flow:psi=sin,t=1,step=0.01``, ``cellular:amp=0.02,k=2``, ``log:clamp=1e-3``.
-An unknown map, field or function name or key, or a value that does not
-parse as its key's type, is a user error.
+``flow:psi=sin,t=1,step=0.01``, ``cellular:amp=0.02,k=2``, ``log:clamp=1e-3`` —
+and one table shape, ``name -> (builder, {key: default})``, resolved by
+``_build``. An unknown name or key, or a value that does not parse as its
+key's type, is a user error.
 
 Sweep specs are plain-text key=value files; identical spec plus seed
 reproduces byte-identical CSV output.
@@ -27,7 +28,7 @@ import numpy as np
 from . import carleson as carl
 from . import corpus, maps
 from .domain import Ball, Box, Grid, GridFunction, Sup, ball_family
-from .errors import BadParameter, OscillabError, SpecError, UnknownName, ZeroSeminorm
+from .errors import BadParameter, OscillabError, SpecError, ZeroSeminorm
 from .fits import FitResult, fit_models
 from .oscillation import OscillationParams, compose, seminorm
 from .transport import perturbed_growth_comparison, solve_perturbed, solve_transport
@@ -66,8 +67,8 @@ def _flow(psi: str, t: float, step: float, amp: float) -> maps.BiLipMap:
     return maps.integrate_flow(fields[psi](), t, step)
 
 
-# name -> (builder, {key: default}); the builder takes the values in key order
-# and each value is cast to the type of its default.
+# name -> (builder, {key: default}), the shape of corpus.FUNCTIONS and
+# corpus.DENSITIES; the builder takes the values in key order.
 MAP_BUILDERS = {
     "identity": (maps.make_identity, {}),
     "shear": (maps.make_shear, {"lambda": 1.0}),
@@ -99,15 +100,21 @@ def _given(text: str, kv: dict, keys: dict, what: str) -> dict:
     return given
 
 
-def _build(table: dict, what: str, text: str):
+def _build(table: dict, what: str, text: str, *head):
+    """``builder(*head, *values)`` for the entry of ``table`` that ``text``
+    names: each key's value in key order, the given one cast to the type of its
+    default, else the default, or None for a key listed by its type. SpecError
+    for an unknown name or key, a value that does not parse or is not finite,
+    or one the builder cannot take."""
     name, kv = _parse_named(text)
     if name not in table:
         raise SpecError(f"unknown {what} {name!r}")
     builder, defaults = table[name]
     given = _given(text, kv, defaults, what)
-    values = [given.get(key, default) for key, default in defaults.items()]
+    values = [given.get(key, None if isinstance(default, type) else default)
+              for key, default in defaults.items()]
     try:
-        return builder(*values)
+        return builder(*head, *values)
     except (ArithmeticError, ValueError) as exc:
         raise SpecError(f"bad parameters in {what} spec {text!r}: {exc}") from exc
 
@@ -121,23 +128,15 @@ def parse_map(spec: str) -> maps.BiLipMap:
     return phi
 
 
-def _resolve_field(spec: str) -> maps.VectorField:
-    return _build(FIELD_BUILDERS, "vector field", spec)
-
-
 def _resolve_function(spec: str, grid: Grid) -> tuple:
     """The builtin function of ``spec`` and its samples on ``grid``; a key value
     the builtin cannot take (``trig:seed=-1``, ``bump:radius=0``) is a SpecError."""
-    name, kv = _parse_named(spec)
-    if name not in corpus.FUNCTIONS:
-        raise UnknownName(f"unknown builtin function {name!r}")
-    given = _given(spec, kv, corpus.FUNCTIONS[name][1], "function")
+    fn = _build(corpus.FUNCTIONS, "builtin function", spec, grid)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            fn = corpus.builtin_function(name, grid, **given)
             return fn, fn if isinstance(fn, GridFunction) else GridFunction.from_callable(grid, fn)
     except (ArithmeticError, ValueError) as exc:
-        raise SpecError(f"bad parameters in function spec {spec!r}: {exc}") from exc
+        raise SpecError(f"bad parameters in builtin function spec {spec!r}: {exc}") from exc
 
 
 @dataclass
@@ -330,7 +329,7 @@ def _run_covering(spec: SweepSpec, grid: Grid):
 
 def _run_carleson(spec: SweepSpec, grid: Grid):
     family = spec.family(grid)
-    mu = corpus.builtin_density(spec.density, grid)
+    mu = _build(corpus.DENSITIES, "builtin density", spec.density, grid)
     base = carl.carleson_norm(mu, family).value
     rows, pts = [], []
     for mspec in spec.maps:
@@ -349,11 +348,14 @@ def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
     ``solve(spec, grid, v, fn, u0)`` returns one GridFunction per output
     time; ``fit(v, pts)`` fits the (t, ratio) points with t > 0.
     """
-    v = _resolve_field(spec.field_name)
+    v = _build(FIELD_BUILDERS, "vector field", spec.field_name)
     fn, u0 = _resolve_function(spec.functions[0], grid)
     family = spec.family(grid)
     params = OscillationParams(p=spec.p, a=spec.a)
     base = _seminorm(u0, params, family).value
+    if base <= 0:
+        raise ZeroSeminorm(f"cannot form a growth ratio for the constant initial profile "
+                           f"{spec.functions[0]!r}")
     rows, pts = [], []
     for t, u in zip(spec.times, solve(spec, grid, v, fn, u0)):
         # a snapshot equal to u0 (the t = 0 rows) reuses its seminorm
@@ -498,7 +500,7 @@ def _cmd_whitney(args) -> int:
 def _cmd_carleson(args) -> int:
     spec = _spec(args)
     grid = spec.grid()
-    mu = corpus.builtin_density(spec.density, grid)
+    mu = _build(corpus.DENSITIES, "builtin density", spec.density, grid)
     family = spec.family(grid)
     norm = carl.carleson_norm(mu, family)
     # printed only once every line is computed, so a failure prints nothing

@@ -5,7 +5,8 @@ logarithmic singularity (the canonical bounded-mean-oscillation function),
 Hoelder cusps, 1-Lipschitz sawtooths, seeded random trigonometric
 polynomials, and smooth bumps. Each builtin is a vectorized callable over
 (N, d) point arrays, so it can be sampled directly or composed analytically
-with a map.
+with a map. ``FUNCTIONS`` and ``DENSITIES`` are the tables the command line
+resolves names in.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
+from .carleson import CarlesonDensity, bmo_to_carleson, default_shell_count, density_from_callable
 from .domain import Box, Grid, GridFunction
-from .errors import UnknownName
 
 
 def _dist_to(pts: np.ndarray, center, box: Box | None = None) -> np.ndarray:
@@ -107,31 +108,22 @@ def _torus(grid: Grid) -> Box | None:
     return grid.box if grid.box.periodic else None
 
 
-# builtin function name -> (builder taking the grid and the given keys,
-# {key: type}); an omitted key takes its default, some of which depend on the
-# grid: the log clamp is two grid spacings and every center is the box center
+# name -> (builder, {key: default}), the shape of ``cli.MAP_BUILDERS``: the
+# builder takes the grid, then each key's value in key order. A key whose
+# default depends on the grid is listed by its type and reaches the builder as
+# None when omitted: the log clamp is two grid spacings and the bump radius a
+# quarter of the side. Every center is the box center.
 FUNCTIONS = {
-    "log": (lambda grid, clamp=None: log_singularity(
+    "log": (lambda grid, clamp: log_singularity(
         _center(grid), 2.0 * grid.h if clamp is None else clamp, _torus(grid)), {"clamp": float}),
-    "holder": (lambda grid, a=0.5: holder_cusp(a, _center(grid), _torus(grid)), {"a": float}),
-    "sawtooth": (lambda grid, k=1: sawtooth(k), {"k": int}),
-    "trig": (lambda grid, seed=0, modes=3: trig_poly(seed, modes), {"seed": int, "modes": int}),
-    "bump": (lambda grid, radius=None: smooth_bump(
+    "holder": (lambda grid, a: holder_cusp(a, _center(grid), _torus(grid)), {"a": 0.5}),
+    "sawtooth": (lambda grid, k: sawtooth(k), {"k": 1}),
+    "trig": (lambda grid, seed, modes: trig_poly(seed, modes), {"seed": 0, "modes": 3}),
+    "bump": (lambda grid, radius: smooth_bump(
         _center(grid), grid.box.side / 4.0 if radius is None else radius, _torus(grid)),
         {"radius": float}),
-    "checker": (lambda grid, seed=None: checkerboard(grid, seed), {"seed": int}),
+    "checker": (checkerboard, {"seed": int}),
 }
-
-
-def builtin_function(name: str, grid: Grid, **given):
-    """The corpus function ``name`` on ``grid``, with the keys in ``given``.
-
-    Returns a vectorized callable (or a GridFunction for cell-aligned
-    builtins).
-    """
-    if name not in FUNCTIONS:
-        raise UnknownName(f"unknown builtin function {name!r}")
-    return FUNCTIONS[name][0](grid, **given)
 
 
 def strip_density_beta(center_x: float = 0.0):
@@ -148,35 +140,28 @@ def strip_density_beta(center_x: float = 0.0):
     return beta
 
 
-def builtin_density(name: str, grid: Grid):
-    """Resolve a builtin density by name.
+def _unit_cells(grid: Grid, shell: int, cells) -> CarlesonDensity:
+    """Density 1 on ``cells`` of one dyadic shell, 0 elsewhere; height half the side."""
+    vals = np.zeros((default_shell_count(grid), grid.size))
+    vals[shell, cells] = 1.0
+    return CarlesonDensity(grid, grid.box.side / 2.0, vals)
 
-    'strip'  : unit density on a widening vertical strip (sup-controlled);
-    'top'    : unit density on the top dyadic shell only (norm log 2);
-    'spike'  : a single cell on the lowest shell (not sup-controlled);
-    'bmo'    : approximate-identity density of the log singularity (periodic).
-    """
-    from .carleson import (
-        CarlesonDensity,
-        bmo_to_carleson,
-        default_shell_count,
-        density_from_callable,
-    )
 
-    T = grid.box.side / 2.0
-    shells = default_shell_count(grid)
-    if name == "strip":
-        beta = strip_density_beta(float(grid.box.center[0]))
-        return density_from_callable(grid, T, beta)
-    if name == "top":
-        vals = np.zeros((shells, grid.size))
-        vals[0] = 1.0
-        return CarlesonDensity(grid, T, vals)
-    if name == "spike":
-        vals = np.zeros((shells, grid.size))
-        vals[-1, grid.size // 2] = 1.0
-        return CarlesonDensity(grid, T, vals)
-    if name == "bmo":
-        g = GridFunction.from_callable(grid, builtin_function("log", grid))
-        return bmo_to_carleson(g)
-    raise UnknownName(f"unknown builtin density {name!r}")
+# builtin densities, in the shape of FUNCTIONS (they take no key):
+# 'strip' : unit density on a widening vertical strip (sup-controlled);
+# 'top'   : unit density on the top dyadic shell only (norm log 2);
+# 'spike' : a single cell on the lowest shell (not sup-controlled);
+# 'bmo'   : approximate-identity density of the log singularity (periodic).
+DENSITIES = {
+    "strip": (lambda grid: density_from_callable(
+        grid, grid.box.side / 2.0, strip_density_beta(float(grid.box.center[0]))), {}),
+    "top": (lambda grid: _unit_cells(grid, 0, slice(None)), {}),
+    "spike": (lambda grid: _unit_cells(grid, -1, grid.size // 2), {}),
+    "bmo": (lambda grid: bmo_to_carleson(
+        GridFunction.from_callable(grid, FUNCTIONS["log"][0](grid, None))), {}),
+}
+
+
+def builtin_density(name: str, grid: Grid) -> CarlesonDensity:
+    """The builtin density ``name`` on ``grid``."""
+    return DENSITIES[name][0](grid)

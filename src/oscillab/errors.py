@@ -13,10 +13,6 @@ class BadParameter(OscillabError, ValueError):
     """A numerical parameter is out of range (p, a, stride, radius, output times)."""
 
 
-class UnknownName(OscillabError):
-    """No builtin function or density has the requested name."""
-
-
 class EmptyBall(OscillabError):
     """No cell center falls inside the requested ball."""
 

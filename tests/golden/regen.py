@@ -2,8 +2,8 @@
 
 Each file holds the argv, the exit code, and the stdout and stderr of
 ``oscillab.cli.main`` run in process on that argv. ``tests/test_golden.py``
-compares the files byte for byte. The bytes are tied to numpy 2.4.6 and
-scipy 1.17.1: the perturbed fit line prints full ``repr`` floats.
+compares the files byte for byte. The bytes are tied to the numpy and scipy
+of ``VERSIONS``: the perturbed fit line prints full ``repr`` floats.
 
 Rewrite every file (after a change that is meant to move an output, or
 after a numpy or scipy upgrade) with:
@@ -20,6 +20,9 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+
+# the numpy and scipy the files were written with
+VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 TORUS = ("--periodic", "--box-lower", "0", "0", "--box-side", "1")
 FOUR_MAPS = "strain:t=0.5;strain:t=1;shear:lambda=2;twist:alpha=3"
@@ -63,8 +66,50 @@ CASES = [
                          "--times", "0,0.25,0.5,0.75,1")),
     ("torus-perturbed", ("perturbed", "--grid-n", "64", "--stride", "8", "--dt", "0.05",
                          "--times", "0,0.25,0.5,0.75,1")),
+    # every builtin function, with and without keys, on a window and on a torus
+    *((f"function-{stem}", ("seminorm", "--f", f, *box, "--grid-n", "64", "--stride", "8"))
+      for stem, f, box in (("holder-a", "holder:a=0.25", ()),
+                           ("sawtooth-k", "sawtooth:k=3", TORUS),
+                           ("bump", "bump", TORUS),
+                           ("bump-radius", "bump:radius=0.75", ()),
+                           ("checker", "checker", ()),
+                           ("checker-seed", "checker:seed=5", TORUS),
+                           ("trig-seed-modes", "trig:seed=7,modes=5", TORUS),
+                           ("log-clamp", "log:clamp=0.1", ()))),
+    # the other densities, each with a map of keys
+    ("density-top", ("carleson", "--density", "top", "--map", "rotation:angle=0.3",
+                     "--grid-n", "64", "--stride", "8")),
+    # a box reaches the top shell (height T, half the side) only on a torus
+    ("density-top-torus", ("carleson", "--density", "top", *TORUS, "--grid-n", "64",
+                           "--stride", "8", "--radii", "0.25,0.5", "--map", "rotation")),
+    ("density-spike", ("carleson", "--density", "spike", "--map", "translation:dx=0.1,dy=-0.2",
+                       "--grid-n", "64", "--stride", "8")),
+    # fields with keys, on a window and on a torus
+    ("field-constant", ("transport", "--field", "constant:vx=0.5,vy=0.25", "--u0", "bump",
+                        "--grid-n", "64", "--stride", "8", "--times", "0,0.25,0.5,0.75,1")),
+    ("field-cellular-torus", ("transport", "--field", "cellular:amp=0.01,k=2",
+                              "--u0", "trig:seed=1", *TORUS, "--grid-n", "64", "--stride", "8",
+                              "--times", "0,0.25,0.5,0.75,1")),
+    # maps of distinct K, flows of both stream functions among them
+    ("sweep-distinct-k", ("sweep", "--maps", "identity;stretch:factor=1.5;"
+                          "flow:psi=strain,t=0.5,step=0.05;flow:t=0.25,step=0.05;twist:alpha=2",
+                          "--grid-n", "64", "--stride", "8")),
+    # the holder and covering sweeps at p > 1
+    ("sweep-holder-p2", ("sweep", "--kind", "holder", "--maps", FOUR_MAPS,
+                         "--functions", "holder:a=0.5", "--a", "0.5", "--p", "2",
+                         "--grid-n", "64", "--stride", "8")),
+    ("sweep-covering-p3-a0.5", ("sweep", "--kind", "covering", "--maps", FOUR_MAPS,
+                                "--p", "3", "--a", "0.5", "--grid-n", "64")),
     # user errors: exit 2 and one error: line
     ("error-kind", ("sweep", "--kind", "nope")),
+    ("error-map", ("whitney", "--map", "wormhole", "--ball", "0,0,0.25")),
+    ("error-map-key", ("whitney", "--map", "shear:mu=2", "--ball", "0,0,0.25")),
+    ("error-map-value", ("whitney", "--map", "shear:lambda=abc", "--ball", "0,0,0.25")),
+    ("error-map-nonfinite", ("whitney", "--map", "shear:lambda=inf", "--ball", "0,0,0.25")),
+    ("error-stream-function", ("whitney", "--map", "flow:psi=nope", "--ball", "0,0,0.25")),
+    ("error-field", ("transport", "--field", "wormhole")),
+    ("error-density", ("carleson", "--density", "wormhole")),
+    ("error-function-value", ("seminorm", "--f", "trig:seed=abc")),
     ("error-function", ("seminorm", "--f", "wormhole")),
     ("error-torus-map", ("whitney", "--periodic", "--map", "strain:t=0.5",
                          "--ball", "0,0,0.25")),

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from oscillab.carleson import carleson_norm, pullback, sc_class_check
-from oscillab.cli import SweepSpec, fits_summary, run_sweep, write_csv
-from oscillab.corpus import builtin_density, builtin_function
+from oscillab.cli import SweepSpec, _resolve_function, fits_summary, run_sweep, write_csv
+from oscillab.corpus import builtin_density
 from oscillab.domain import (
     Ball,
     Box,
@@ -75,8 +75,7 @@ def _sawtooth_profile(y):
 
 
 def _grid_fn(name, grid):
-    fn = builtin_function(name, grid)
-    return fn if isinstance(fn, GridFunction) else GridFunction.from_callable(grid, fn)
+    return _resolve_function(name, grid)[1]
 
 
 def test_criterion_01_isometry_exactness():

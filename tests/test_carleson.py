@@ -16,7 +16,8 @@ from oscillab.carleson import (
     pullback_set_mass,
     sc_class_check,
 )
-from oscillab.corpus import builtin_density, builtin_function, strip_density_beta
+from oscillab.cli import _resolve_function
+from oscillab.corpus import builtin_density, strip_density_beta
 from oscillab.domain import (
     Ball,
     Box,
@@ -158,8 +159,7 @@ def test_scaled_density_quadratic_norm():
 
 def test_bmo_to_carleson_basics():
     g = Grid(TORUS, 128)
-    fn = builtin_function("log", g)
-    gf = GridFunction.from_callable(g, fn)
+    _, gf = _resolve_function("log", g)
     mu = bmo_to_carleson(gf)
     assert mu.shells == default_shell_count(g)
     fam = ball_family(g, 16, [0.0625, 0.125, 0.25])

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscillab
+from oscillab import corpus
 from oscillab.cli import (
+    FIELD_BUILDERS,
     MAP_BUILDERS,
     SweepSpec,
     _parser,
@@ -365,9 +367,13 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "bump:radius=0", "--grid-n", "32"],
         # samples that overflow
         ["seminorm", "--f", "holder:a=1e300", "--grid-n", "32", "--stride", "4"],
-        # a constant has no composition ratio; a mapped point leaves the window
+        # a constant has no composition or growth ratio; a mapped point leaves
+        # the window
         ["sweep", "--maps", "strain:t=1", "--functions", "bump:radius=1e-6",
          "--grid-n", "64", "--stride", "8"],
+        ["transport", "--u0", "trig:modes=0", "--grid-n", "32"],
+        ["transport", "--u0", "bump:radius=0.01", "--grid-n", "32", "--times", "0,1,2,3"],
+        ["perturbed", "--u0", "trig:modes=0", "--grid-n", "32", "--times", "0,0.02"],
         ["sweep", "--maps", "strain:t=1.3", "--functions", "checker",
          "--grid-n", "64", "--stride", "8"],
         # options a command does not read, and abbreviated options
@@ -439,6 +445,26 @@ def test_readme_option_table_matches_parser():
     given = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
              for name, p in sub.choices.items()}
     assert listed == given
+
+
+def test_readme_builtin_tables_match_the_registries():
+    """README's map, vector-field and builtin-function tables list exactly the
+    names and keys of the tables ``_build`` resolves in, and its spec-key
+    table lists the names of ``corpus.DENSITIES``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    registries = {"### Map grammar": MAP_BUILDERS, "### Vector-field grammar": FIELD_BUILDERS,
+                  "### Builtin functions and densities": corpus.FUNCTIONS}
+    for heading, table in registries.items():
+        section = readme.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+        listed = {}
+        for line in section.splitlines():
+            cells = line.split("|")[1:-1]
+            if cells and cells[0].strip().startswith("`"):
+                code = re.findall(r"`([^`]*)`", cells[1])
+                listed[cells[0].strip(" `")] = {key for c in code for key in c.split(",")}
+        assert listed == {name: set(keys) for name, (_, keys) in table.items()}, heading
+    row = next(line for line in readme.splitlines() if line.startswith("| `density` |"))
+    assert set(re.findall(r"`([^`]*)`", row.split("|")[3])) == set(corpus.DENSITIES)
 
 
 def test_options_override_spec_file_keys(tmp_path, capsys):

@@ -4,6 +4,7 @@
 that moves a golden file is a change of a check and says why.
 """
 
+import importlib.metadata
 import importlib.util
 from pathlib import Path
 
@@ -19,4 +20,7 @@ def test_golden_outputs_are_byte_identical():
     assert sorted(p.stem for p in regen.HERE.glob("*.txt")) == sorted(stems)
     changed = [stem for stem, argv in regen.CASES
                if regen.run(argv).encode() != regen.path(stem).read_bytes()]
-    assert not changed, f"outputs differ from the golden files: {changed}"
+    assert not changed, (
+        f"outputs differ from the golden files: {changed}; the files were written with "
+        + ", ".join(f"{pkg} {v}" for pkg, v in regen.VERSIONS.items()) + "; this run has "
+        + ", ".join(f"{pkg} {importlib.metadata.version(pkg)}" for pkg in regen.VERSIONS))

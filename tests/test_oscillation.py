@@ -14,7 +14,7 @@ from oscillab.carleson import (
     carleson_norm,
     shell_weight,
 )
-from oscillab.cli import SweepSpec, default_radii, run_sweep
+from oscillab.cli import SweepSpec, _resolve_function, default_radii, run_sweep
 from oscillab.domain import (
     Ball,
     BallFamily,
@@ -26,7 +26,7 @@ from oscillab.domain import (
     cells_in_ball,
 )
 from oscillab.errors import DomainError, EmptyFamily, OutOfDomain, ZeroSeminorm
-from oscillab.corpus import builtin_density, builtin_function, log_singularity
+from oscillab.corpus import builtin_density, log_singularity
 from oscillab.maps import make_rotation, make_translation
 from oscillab.oscillation import (
     OscillationParams,
@@ -42,8 +42,7 @@ WINDOW = Box((-1.0, -1.0), 2.0, periodic=False)
 
 
 def _grid_fn(name, grid):
-    fn = builtin_function(name, grid)
-    return fn if isinstance(fn, GridFunction) else GridFunction.from_callable(grid, fn)
+    return _resolve_function(name, grid)[1]
 
 
 def test_rho_values():
@@ -366,7 +365,7 @@ def test_pruned_seminorm_gathers_few_balls(monkeypatch):
     # leaves fewer than 5% of the balls to gather, and p = 3 fewer than half
     g = Grid(TORUS, 256)
     fam = ball_family(g, 16, default_radii(g))
-    f = GridFunction.from_callable(g, builtin_function("trig", g, seed=3))
+    _, f = _resolve_function("trig:seed=3", g)
     sup, gathered = BallFamily.sup, []
 
     def counting(self, rows, bound=None):
