@@ -469,17 +469,25 @@ class BallFamily(Balls):
         np.cumsum(lines, axis=-1, out=prefix[..., 1:])
         prefix = prefix.reshape(len(prefix), -1)
         out = np.empty((len(prefix) if which is None else 1, len(self)))
+        lead = n ** np.arange(d - 2, -1, -1)  # strides of the leading axes
         for group in self._groups:
             runs = group.runs
             per = max(1, _BLOCK_CELLS // len(runs))
+            if not periodic:
+                # a run's prefix index is affine in the ball's center cell
+                start = (runs[:, :-2] @ lead) * width
+                ends = start + runs[:, -2], start + runs[:, -1] + 1
+                bases = (group.cells[:, :-1] @ lead) * width + group.cells[:, -1]
             for lo in range(0, len(group.cells), per):
-                block = group.cells[lo:lo + per]
-                row = 0
-                for k in range(d - 1):
-                    i = block[:, k, None] + runs[:, k]
-                    row = row * n + (i & (n - 1) if periodic else i)
-                base = row * width + block[:, -1, None] + m
-                first, past = base + runs[:, -2], base + runs[:, -1] + 1
+                if periodic:
+                    block, row = group.cells[lo:lo + per], 0
+                    for k in range(d - 1):
+                        row = row * n + ((block[:, k, None] + runs[:, k]) & (n - 1))
+                    base = row * width + block[:, -1, None] + m
+                    first, past = base + runs[:, -2], base + runs[:, -1] + 1
+                else:
+                    base = bases[lo:lo + per, None]
+                    first, past = base + ends[0], base + ends[1]
                 at = group.members[lo:lo + per]
                 fields = prefix if which is None else prefix[which[at[0]]][None]
                 for sums, field in zip(out, fields):

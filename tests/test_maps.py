@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscillab.domain import Box, Grid
 from oscillab.errors import StepTooLarge, ViolatedBound
 from oscillab.maps import (
+    VectorField,
     cellular_field,
     check_inverse_consistency,
     check_lip_inverse_bound,
@@ -153,3 +156,57 @@ def test_twist_distortion_bounded():
     K = estimate_K(phi, samples=1500, seed=6, box=BOX)
     sigma = (alpha + math.sqrt(alpha**2 + 4.0)) / 2.0
     assert K <= 2.0 * sigma + 1e-6
+
+
+def _rk4_reference(fn, x, t_total, step):
+    """The unblocked RK4 that allocates every stage, kept as a reference."""
+    if t_total == 0.0:
+        return x.copy()
+    nsteps = max(1, int(math.ceil(abs(t_total) / step)))
+    dt = t_total / nsteps
+    y = x.copy()
+    for _ in range(nsteps):
+        k1 = fn(y)
+        k2 = fn(y + 0.5 * dt * k1)
+        k3 = fn(y + 0.5 * dt * k2)
+        k4 = fn(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+_RK4_FIELDS = {
+    "strain": strain_field(),
+    "cellular-k1": cellular_field(0.3, 1),
+    "cellular-k2": cellular_field(0.3, 2),
+    "constant": constant_field((0.5, -0.25)),
+    # returns its own argument: a stage buffer must not be overwritten
+    # while a stage value still aliases it
+    "self": VectorField("self", lambda x: x, 1.0),
+}
+
+
+@settings(max_examples=40)
+@given(
+    name=st.sampled_from(sorted(_RK4_FIELDS)),
+    rows=st.sampled_from((7, 1001, 4097)),
+    blocks=st.floats(0.1, 3.0),
+    t=st.floats(0.01, 1.0),
+    step=st.sampled_from((0.03, 0.1, 0.4)),
+    seed=st.integers(0, 2**16),
+)
+def test_blocked_rk4_matches_unblocked_reference(name, rows, blocks, t, step, seed):
+    # any block length gives the feet of one unblocked pass bit for bit, and
+    # a backward pass (-t) gives those of the negated field
+    import oscillab.maps as maps
+
+    v = _RK4_FIELDS[name]
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (max(1, int(blocks * rows)), 2))
+    before = x.copy()
+    want = {t: _rk4_reference(v, x, t, step), -t: _rk4_reference(lambda y: -v(y), x, t, step)}
+    for points in (rows, len(x)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maps, "_RK4_POINTS", points)
+            for signed in (t, -t):
+                got = maps._rk4(v, x, signed, step)
+                assert got.shape == x.shape and got.tobytes() == want[signed].tobytes()
+    assert x.tobytes() == before.tobytes()
