@@ -147,16 +147,23 @@ def _unit_cells(grid: Grid, shell: int, cells) -> CarlesonDensity:
     return CarlesonDensity(grid, grid.box.side / 2.0, vals)
 
 
+def _middle_cell(grid: Grid) -> int:
+    """The flat index of cell (n/2, ..., n/2), one nearest the box center
+    (the nearest one for odd n)."""
+    return int(np.ravel_multi_index((grid.n // 2,) * grid.d, (grid.n,) * grid.d))
+
+
 # builtin densities, in the shape of FUNCTIONS (they take no key):
 # 'strip' : unit density on a widening vertical strip (sup-controlled);
 # 'top'   : unit density on the top dyadic shell only (norm log 2);
-# 'spike' : a single cell on the lowest shell (not sup-controlled);
+# 'spike' : a single cell by the box center, on the lowest shell (not
+#           sup-controlled);
 # 'bmo'   : approximate-identity density of the log singularity (periodic).
 DENSITIES = {
     "strip": (lambda grid: density_from_callable(
         grid, grid.box.side / 2.0, strip_density_beta(float(grid.box.center[0]))), {}),
     "top": (lambda grid: _unit_cells(grid, 0, slice(None)), {}),
-    "spike": (lambda grid: _unit_cells(grid, -1, grid.size // 2), {}),
+    "spike": (lambda grid: _unit_cells(grid, -1, _middle_cell(grid)), {}),
     "bmo": (lambda grid: bmo_to_carleson(
         GridFunction.from_callable(grid, FUNCTIONS["log"][0](grid, None))), {}),
 }

@@ -370,8 +370,11 @@ class BallFamily(Balls):
         shared = np.flatnonzero(~alone)
         if len(shared):
             keys = np.column_stack([radii, delta])[shared]
-            _, head, key = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-            rank[shared] = shared[head][key.reshape(-1)]
+            # each key row as one opaque value; delta holds no -0.0, so equal
+            # keys have equal bytes
+            rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+            _, head, key = np.unique(rows, return_index=True, return_inverse=True)
+            rank[shared] = shared[head][key]
         order = np.argsort(rank, kind="stable")
         self._strides = n ** np.arange(d - 1, -1, -1)
         self._groups = []

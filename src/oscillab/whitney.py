@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (
+    _BLOCK_CELLS,
     Ball,
     BallFamily,
     Balls,
@@ -180,36 +181,57 @@ def _min_gap(centers: np.ndarray, radii: np.ndarray, box: Box) -> float:
     """Smallest center distance (wrapped on a torus) minus radius sum over
     all pairs of balls; inf for fewer than two balls.
 
-    A KD-tree (periodic on a torus) gives each ball its nearest neighbour;
-    the smallest gap over those pairs bounds the minimum from above, so only
-    the pairs closer than that bound plus twice the largest radius can
-    attain it. The gap of a pair is always evaluated by the same expression,
-    so the result is the exact minimum over all pairs.
+    A sort-and-sweep (Shamos and Hoey 1975). The smallest gap between
+    neighbours in the order along any axis (cyclic on a torus) bounds the
+    minimum from above, so a pair can attain it only if its distance along
+    that axis (forward around the circle on a torus) from its first ball is
+    at most the bound plus that ball's radius and the largest radius. The
+    sweep runs along the axis that leaves the fewest such pairs, as a set
+    stretched along one axis crowds its balls together along the other. It
+    evaluates the pairs one offset in that order at a time, in blocks of at
+    most ``_BLOCK_CELLS`` pairs, each gap by the same expression, so the
+    result is the exact minimum over all pairs.
     """
-    if len(radii) < 2:
+    k = len(radii)
+    if k < 2:
         return math.inf
-    from scipy.spatial import cKDTree
-
-    pts, boxsize = centers, None
+    xs = centers - np.asarray(box.lower)
     if box.periodic:
-        pts = np.mod(centers - np.asarray(box.lower), box.side)
-        pts[pts >= box.side] = 0.0  # np.mod(-1e-17, 1.0) is 1.0
-        boxsize = box.side
-    tree = cKDTree(pts, boxsize=boxsize)
+        # in [0, side]: np.mod(-1e-17, 1.0) is 1.0, which sorts last and is
+        # still one side behind its copy in the second lap
+        xs = np.mod(xs, box.side)
+    pos = np.arange(k)
+    nxt, stop = ((pos + 1) % k, pos + k) if box.periodic else (pos[1:], k)
 
-    def gaps(pairs):
-        i, j = pairs.min(axis=1), pairs.max(axis=1)
-        d = np.linalg.norm(box.wrap_displacement(centers[j] - centers[i]), axis=1)
-        return d - (radii[j] + radii[i])
+    def gaps(cs, rs, a, b):
+        # rounding is symmetric, so fl(c - c') = -fl(c' - c) and the gap of
+        # a pair does not depend on which ball comes first
+        d = np.linalg.norm(box.wrap_displacement(cs[b] - cs[a]), axis=1)
+        return d - (rs[b] + rs[a])
 
-    _, nearest = tree.query(pts, k=2)
-    own = np.arange(len(pts))
-    # a coincident center may come back first, in place of the ball itself
-    other = np.where(nearest[:, 1] == own, nearest[:, 0], nearest[:, 1])
-    bound = float(gaps(np.stack([own, other], axis=1)).min())
-    reach = bound + 2.0 * float(radii.max()) + 1e-9 * box.side
-    close = tree.query_pairs(reach, output_type="ndarray")
-    return float(gaps(close).min(initial=bound))
+    sweeps = []
+    for x in xs.T:
+        order = np.argsort(x, kind="stable")
+        sweeps.append((x[order], centers[order], radii[order]))
+    best = min(float(gaps(cs, rs, pos[: len(nxt)], nxt).min()) for _, cs, rs in sweeps)
+    reach = best + float(radii.max()) + 1e-9 * box.side
+
+    def last(x, rs):
+        # the partners of position a are a + 1, ..., last[a] - 1 (mod k)
+        ahead = np.concatenate([x, x + box.side]) if box.periodic else x
+        return np.minimum(np.searchsorted(ahead, x + rs + reach, side="right"), stop)
+
+    ends = [last(x, rs) for x, _, rs in sweeps]
+    axis = int(np.argmin([np.maximum(end - pos - 1, 0).sum() for end in ends]))
+    (_, cs, rs), end = sweeps[axis], ends[axis]
+    # the neighbours a + 1 are in the bound already
+    step, a = 2, pos
+    while len(a := a[end[a] > a + step]):
+        for lo in range(0, len(a), _BLOCK_CELLS):
+            part = a[lo : lo + _BLOCK_CELLS]
+            best = min(best, float(gaps(cs, rs, part, (part + step) % k).min()))
+        step += 1
+    return best
 
 
 def check_cover_invariants(cover: WhitneyCover, mask: PixelMask) -> dict:

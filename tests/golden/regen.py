@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -26,6 +27,11 @@ VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 TORUS = ("--periodic", "--box-lower", "0", "0", "--box-side", "1")
 FOUR_MAPS = "strain:t=0.5;strain:t=1;shear:lambda=2;twist:alpha=3"
+# torus maps of distinct K; ``sweep`` takes no --periodic, so the torus sweeps
+# read the unit torus from a spec file beside this script
+TORUS_SWEEP = ("sweep", "--spec", "torus-sweep.spec")
+TORUS_MAPS = ("rotation:angle=1.5707963267948966;flow:psi=sin,t=0.25,step=0.05;"
+              "shear:lambda=1;shear:lambda=2")
 
 # (file stem, argv)
 CASES = [
@@ -106,6 +112,13 @@ CASES = [
                          "--grid-n", "64", "--stride", "8")),
     ("sweep-covering-p3-a0.5", ("sweep", "--kind", "covering", "--maps", FOUR_MAPS,
                                 "--p", "3", "--a", "0.5", "--grid-n", "64")),
+    # a sweep of each kind on a torus
+    ("sweep-torus-bmo-composition", (*TORUS_SWEEP, "--kind", "bmo-composition",
+                                     "--maps", TORUS_MAPS, "--functions", "trig:seed=3")),
+    ("sweep-torus-holder", (*TORUS_SWEEP, "--kind", "holder", "--maps", TORUS_MAPS,
+                            "--functions", "holder:a=0.5", "--a", "0.5")),
+    ("sweep-torus-carleson", (*TORUS_SWEEP, "--kind", "carleson", "--maps", TORUS_MAPS)),
+    ("sweep-torus-covering", (*TORUS_SWEEP, "--kind", "covering", "--maps", TORUS_MAPS)),
     # user errors: exit 2 and one error: line
     ("error-kind", ("sweep", "--kind", "nope")),
     ("error-map", ("whitney", "--map", "wormhole", "--ball", "0,0,0.25")),
@@ -124,12 +137,18 @@ CASES = [
 
 
 def run(argv) -> str:
-    """The golden text of one argv: argv, exit code, stdout and stderr."""
+    """The golden text of one argv, run in this directory (where the spec
+    files are): argv, exit code, stdout and stderr."""
     from oscillab import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
     return (f"argv: {shlex.join(argv)}\nexit: {code}\n"
             f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 

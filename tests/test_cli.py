@@ -536,8 +536,7 @@ MAPS = "strain:t=0.5;strain:t=1;shear:lambda=2;twist:alpha=3"
     (["sweep", "--kind", "carleson", "--grid-n", "32", "--maps", MAPS], ()),
     (["transport", "--grid-n", "32"], ()),
     (["perturbed", "--grid-n", "32"], ("scipy.sparse",)),
-    (["sweep", "--kind", "covering", "--grid-n", "32", "--maps", MAPS],
-     ("scipy.ndimage", "scipy.spatial")),
+    (["sweep", "--kind", "covering", "--grid-n", "32", "--maps", MAPS], ("scipy.ndimage",)),
 ])
 def test_command_loads_only_the_scipy_it_runs(argv, allowed):
     # ``allowed`` and their own dependencies are imported first; the command
@@ -549,6 +548,29 @@ def test_command_loads_only_the_scipy_it_runs(argv, allowed):
         "before = loaded()\n"
         "from oscillab.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0\n"
+        "print(' '.join(sorted(loaded() - before)))"
+    )
+    src = str(Path(oscillab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
+
+
+def test_certified_torus_cover_loads_only_scipy_ndimage():
+    # criterion 05's chain on a torus: the distance transform is the one
+    # scipy package a certified cover loads; min_gap needs no scipy.spatial
+    code = (
+        "import sys, scipy.ndimage\n"
+        "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+        "before = loaded()\n"
+        "from oscillab.domain import Ball, Box, Grid\n"
+        "from oscillab.maps import make_shear\n"
+        "from oscillab.whitney import check_cover_invariants, image_mask, whitney_decompose\n"
+        "grid = Grid(Box((0.0, 0.0), 1.0, periodic=True), 64)\n"
+        "ball = Ball((0.5, 0.5), 0.125)\n"
+        "mask = image_mask(make_shear(1.0), ball, grid)\n"
+        "cover = whitney_decompose(mask, source_ball=ball)\n"
+        "assert check_cover_invariants(cover, mask)['min_gap'] > 0\n"
         "print(' '.join(sorted(loaded() - before)))"
     )
     src = str(Path(oscillab.__file__).resolve().parents[1])

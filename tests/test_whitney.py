@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscillab import whitney
 from oscillab.domain import Ball, Box, Grid, PixelMask, cells_in_ball, distance_transform
 from oscillab.errors import BadParameter, NotTorusMap, RadiusViolation
 from oscillab.maps import (
@@ -21,6 +22,7 @@ from oscillab.oscillation import rho
 from oscillab.whitney import (
     WhitneyCover,
     _accepted_cubes,
+    _min_gap,
     check_cover_invariants,
     covering_statistic,
     image_mask,
@@ -242,6 +244,45 @@ def test_cover_gap_of_coincident_centers():
                         Ball((0.5, 0.5), 0.25))
     mask = PixelMask(g, np.ones(g.size, dtype=bool))
     assert check_cover_invariants(cover, mask)["min_gap"] == -(0.05 + 0.1)
+
+
+@settings(max_examples=300)
+@given(box=st.sampled_from([BIG, TORUS, Box((-0.3, 0.1), 1.7, periodic=True)]),
+       k=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 0.05, 0.4]), seam=st.booleans(),
+       coincident=st.booleans(), lattice=st.sampled_from([None, 0, 1]),
+       block=st.sampled_from([1, 3, whitney._BLOCK_CELLS]))
+@example(box=TORUS, k=2, seed=0, scale=0.05, seam=True, coincident=False, lattice=None, block=1)
+@example(box=BIG, k=2, seed=1, scale=0.4, seam=False, coincident=True, lattice=0, block=1)
+# the smallest gap crosses the seam along the sweep, between balls that are
+# no neighbours there
+@example(box=TORUS, k=12, seed=164, scale=0.4, seam=False, coincident=False, lattice=None,
+         block=3)
+def test_min_gap_equals_brute_force(box, k, seed, scale, seam, coincident, lattice, block):
+    # the sweep's exact minimum over every pair; a draw may put centers on
+    # and just below the seams, coincide, share one coordinate along an
+    # axis (``lattice``) or overlap (the largest radius scale), and small
+    # blocks cut its passes
+    rng = np.random.default_rng(seed)
+    lower, side = np.asarray(box.lower), box.side
+    centers = lower + rng.uniform(0.0, side, (k, 2))
+    if seam:
+        below = np.nextafter(lower, -np.inf)
+        top = np.nextafter(lower + side, -np.inf)
+        for row, value in zip(rng.integers(0, k, 4), (lower, below, top, lower - 1e-17)):
+            axis = rng.integers(0, 2)
+            centers[row, axis] = value[axis]
+    if coincident:
+        centers[rng.integers(0, k, k // 2 + 1)] = centers[rng.integers(0, k)]
+    if lattice is not None:
+        centers[:, lattice] = lower[lattice] + side * np.floor(
+            (centers[:, lattice] - lower[lattice]) / side * 4) / 4
+    radii = rng.uniform(0.0, scale * side, k)
+    cover = _hand_cover(centers, radii, Ball((0.5, 0.5), 1.0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(whitney, "_BLOCK_CELLS", block)
+        gap = _min_gap(cover.centers, cover.radii, box)
+    assert gap == _brute_min_gap(cover, box)
 
 
 def _sawtooth(y):
