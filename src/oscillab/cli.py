@@ -274,10 +274,9 @@ def default_radii(grid: Grid) -> list:
     return radii
 
 
-def _growth_fits(points: dict, grid: Grid) -> dict:
+def _growth_fits(points: dict) -> dict:
     """Growth-law fits against K for every point set large enough to fit."""
-    return {key: fit_models(pts, eps_max=float(grid.d))
-            for key, pts in sorted(points.items()) if len(pts) >= 4}
+    return {key: fit_models(pts) for key, pts in sorted(points.items()) if len(pts) >= 4}
 
 
 def _seminorm(f: GridFunction, params: OscillationParams, family) -> Sup:
@@ -307,7 +306,7 @@ def _run_composition(spec: SweepSpec, grid: Grid):
                          "K_analytic": phi.K, "K_estimated": k_est, "seminorm_in": s_in,
                          "seminorm_out": ratio * s_in, "ratio": ratio})
             points.setdefault(fname, []).append((phi.K, ratio))
-    return rows, _growth_fits(points, grid)
+    return rows, _growth_fits(points)
 
 
 def _run_covering(spec: SweepSpec, grid: Grid):
@@ -324,7 +323,7 @@ def _run_covering(spec: SweepSpec, grid: Grid):
                      "shell_decay_constant": hist.decay_constant,
                      "uncovered_fraction": cover.uncovered_fraction})
         pts.append((phi.K, stat))
-    return rows, _growth_fits({"covering": pts}, grid)
+    return rows, _growth_fits({"covering": pts})
 
 
 def _run_carleson(spec: SweepSpec, grid: Grid):
@@ -339,7 +338,7 @@ def _run_carleson(spec: SweepSpec, grid: Grid):
         rows.append({"map": phi.name, "params": mspec, "K_analytic": phi.K,
                      "norm_in": base, "norm_out": grown, "growth": y})
         pts.append((phi.K, y))
-    return rows, _growth_fits({"carleson": pts}, grid)
+    return rows, _growth_fits({"carleson": pts})
 
 
 def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
@@ -469,9 +468,11 @@ def _cmd_seminorm(args) -> int:
     grid = spec.grid()
     _, f = _resolve_function(args.f, grid)
     est = _seminorm(f, OscillationParams(p=spec.p, a=spec.a), spec.family(grid))
-    print("name,p,a,seminorm,argmax_center,argmax_radius")
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
-    print(f"{args.f},{spec.p:g},{spec.a:g},{est.value:.10g},{cx},{est.argmax_ball.radius:.6g}")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["name", "p", "a", "seminorm", "argmax_center", "argmax_radius"])
+    writer.writerow([args.f, f"{spec.p:g}", f"{spec.a:g}", f"{est.value:.10g}", cx,
+                     f"{est.argmax_ball.radius:.6g}"])
     return 0
 
 

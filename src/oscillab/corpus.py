@@ -155,7 +155,10 @@ def _middle_cell(grid: Grid) -> int:
 
 # builtin densities, in the shape of FUNCTIONS (they take no key):
 # 'strip' : unit density on a widening vertical strip (sup-controlled);
-# 'top'   : unit density on the top dyadic shell only (norm log 2);
+# 'top'   : unit density on the top dyadic shell only, at height T = side/2,
+#           which only a ball of radius side/2 reaches; of the families the
+#           command line builds only a torus one holds such a ball, so the
+#           norm is about log 2 there and 0 on a window;
 # 'spike' : a single cell by the box center, on the lowest shell (not
 #           sup-controlled);
 # 'bmo'   : approximate-identity density of the log singularity (periodic).

@@ -225,7 +225,9 @@ def cells_in_ball(grid: Grid, ball: Ball) -> np.ndarray:
     of one radius and one delta hold the same cells, translated, wherever
     they sit, and the test neither squares h nor depends on the box's scale.
     The search covers the ball's bounding box of cells, so the cost scales
-    with the ball, not the grid.
+    with the ball, not the grid. On a torus it visits each cell once, in
+    wrapped order, and one stable sort of the flat indices puts them back in
+    ascending order.
     """
     n = grid.n
     cells, delta, lo, hi = (a[0] for a in _lattice(grid, [ball.center], [ball.radius]))
@@ -236,8 +238,6 @@ def cells_in_ball(grid: Grid, ball: Ball) -> np.ndarray:
             e = k - dk
             e -= n * np.round(e / n)
             idx = (c + k.astype(np.intp)) % n
-            order = np.argsort(idx)
-            idx, e = idx[order], e[order]
         else:
             k = np.arange(max(first, -c), min(last, n - 1 - c) + 1)
             idx, e = c + k.astype(np.intp), k - dk
@@ -249,7 +249,7 @@ def cells_in_ball(grid: Grid, ball: Ball) -> np.ndarray:
     if not inside.any():
         raise EmptyBall(f"no cell center inside ball {ball}")
     mesh = np.meshgrid(*per_axis, indexing="ij")
-    return grid.flat_index(tuple(m[inside] for m in mesh))
+    return np.sort(grid.flat_index(tuple(m[inside] for m in mesh)), kind="stable")
 
 
 def points_in_ball(box: Box, points: np.ndarray, center, radius: float) -> np.ndarray:
@@ -397,11 +397,10 @@ class BallFamily(Balls):
             self._groups.append(_Group(members, cells[members], offsets, stencil, runs))
             self.counts[members] = len(stencil)
             self.volumes[members] = first.volume
-        # ball_sums pads a torus row on each side by the farthest run end
+        # ball_sums pads a torus on each side of every axis by the farthest offset
         self._margin = 0
         if grid.box.periodic:
-            self._margin = int(max(max(-g.runs[:, -2].min(), g.runs[:, -1].max())
-                                   for g in self._groups))
+            self._margin = int(max(np.abs(g.offsets).max() for g in self._groups))
         # A ball_sums sum over c cells rounds by at most c eps (2 w^2 + c + 1)
         # max|values| (running sums over lines of w cells, two of them and
         # one addition per run, at most c runs); a gathered c-cell sum or
@@ -417,11 +416,12 @@ class BallFamily(Balls):
 
         ``select``, a boolean mask over the family, keeps only the balls it
         marks. One block never spans two groups and holds at most about
-        ``_BLOCK_CELLS`` cells. On a torus, a ball that crosses the seam has
-        its cells wrapped axis by axis and sorted back into ascending
-        (``cells_in_ball``) order; its wrapped stencil is a few ascending
-        runs, which a stable sort merges in close to linear time. Only the
-        other balls take the unwrapped rows.
+        ``_BLOCK_CELLS`` cells. On a window a row is the ball's center cell
+        plus the stencil. On a torus every row has its cells wrapped axis by
+        axis and sorted back into ascending (``cells_in_ball``) order: a row
+        that stays off the seam is ascending already, and one that crosses
+        it is a few ascending runs, so a stable sort (timsort) takes close to
+        linear time either way.
         """
         n, d = self.grid.n, self.grid.d
         for group in self._groups:
@@ -430,22 +430,16 @@ class BallFamily(Balls):
                 keep = select[members]
                 members, cells = members[keep], cells[keep]
             per = max(1, _BLOCK_CELLS // len(group.stencil))
-            lowest, highest = group.offsets.min(axis=0), group.offsets.max(axis=0)
             for lo in range(0, len(members), per):
                 block = cells[lo:lo + per]
                 if not self.grid.box.periodic:
                     yield members[lo:lo + per], (block @ self._strides)[:, None] + group.stencil
                     continue
-                wraps = np.any((block + lowest < 0) | (block + highest >= n), axis=1)
-                idx = np.empty((len(block), len(group.stencil)), dtype=np.intp)
-                idx[~wraps] = (block[~wraps] @ self._strides)[:, None] + group.stencil
-                if wraps.any():
-                    # Grid makes n a power of two, so & (n - 1) is the wrap % n
-                    moved, flat = block[wraps], 0
-                    for k in range(d):
-                        flat = flat * n + ((moved[:, k, None] + group.offsets[:, k]) & (n - 1))
-                    idx[wraps] = np.sort(flat, axis=1, kind="stable")
-                yield members[lo:lo + per], idx
+                # Grid makes n a power of two, so & (n - 1) is the wrap % n
+                flat = 0
+                for k in range(d):
+                    flat = flat * n + ((block[:, k, None] + group.offsets[:, k]) & (n - 1))
+                yield members[lo:lo + per], np.sort(flat, axis=1, kind="stable")
 
     def ball_sums(self, values, which=None) -> np.ndarray:
         """Sums of ``values`` (shape (..., n^d)) over the cells of each ball,
@@ -456,41 +450,36 @@ class BallFamily(Balls):
 
         A ball's sum takes one difference of prefix sums along the last axis
         per run of its stencil: about 2R + 1 lookups for a ball R cells wide,
-        not about pi R^2 cells. A torus pads that axis with wrapped cells and
-        wraps the leading axes with ``& (n - 1)``. Over a ball of c cells the
-        sum is within ``sum_slack * c * max|values|`` of the exact one. The
-        lookups go in chunks of at most about ``_BLOCK_CELLS`` per field.
+        not about pi R^2 cells. A torus is padded on each side of every axis
+        with the wrapped cells its balls reach, so on a torus as on a window
+        a run's prefix index is the ball's center cell plus a fixed offset.
+        Over a ball of c cells the sum is within ``sum_slack * c *
+        max|values|`` of the exact one. The lookups go in chunks of at most
+        about ``_BLOCK_CELLS`` per field.
         """
         n, d, m = self.grid.n, self.grid.d, self._margin
-        periodic = self.grid.box.periodic
         values = np.asarray(values, dtype=float)
-        lines = values.reshape(-1, n ** (d - 1), n)
+        cube = values.reshape((-1,) + (n,) * d)
         if m:
-            lines = np.pad(lines, [(0, 0), (0, 0), (m, m)], mode="wrap")
-        width = n + 2 * m + 1
-        prefix = np.zeros(lines.shape[:-1] + (width,))
+            cube = np.pad(cube, [(0, 0)] + [(m, m)] * d, mode="wrap")
+        side = n + 2 * m
+        lines = cube.reshape(len(cube), -1, side)
+        prefix = np.zeros(lines.shape[:-1] + (side + 1,))
         np.cumsum(lines, axis=-1, out=prefix[..., 1:])
         prefix = prefix.reshape(len(prefix), -1)
         out = np.empty((len(prefix) if which is None else 1, len(self)))
-        lead = n ** np.arange(d - 2, -1, -1)  # strides of the leading axes
+        # prefix-array strides per axis: a run's first index is affine in its
+        # ball's center cell, and its end lies the run's length past it
+        strides = np.r_[side ** np.arange(d - 2, -1, -1) * (side + 1), 1]
         for group in self._groups:
             runs = group.runs
             per = max(1, _BLOCK_CELLS // len(runs))
-            if not periodic:
-                # a run's prefix index is affine in the ball's center cell
-                start = (runs[:, :-2] @ lead) * width
-                ends = start + runs[:, -2], start + runs[:, -1] + 1
-                bases = (group.cells[:, :-1] @ lead) * width + group.cells[:, -1]
+            start = runs[:, :-1] @ strides
+            length = runs[:, -1] - runs[:, -2] + 1
+            bases = (group.cells + m) @ strides
             for lo in range(0, len(group.cells), per):
-                if periodic:
-                    block, row = group.cells[lo:lo + per], 0
-                    for k in range(d - 1):
-                        row = row * n + ((block[:, k, None] + runs[:, k]) & (n - 1))
-                    base = row * width + block[:, -1, None] + m
-                    first, past = base + runs[:, -2], base + runs[:, -1] + 1
-                else:
-                    base = bases[lo:lo + per, None]
-                    first, past = base + ends[0], base + ends[1]
+                first = bases[lo:lo + per, None] + start
+                past = first + length
                 at = group.members[lo:lo + per]
                 fields = prefix if which is None else prefix[which[at[0]]][None]
                 for sums, field in zip(out, fields):

@@ -148,7 +148,10 @@ def _fit_affine(x, y):
     return FitResult("affine", (float(c[0]), float(c[1])), rms_relative(c[0] + c[1] * x, y))
 
 
-def _fit_power(x, y, eps_max):
+_EPS_MAX = 2.0  # cap of the power exponent search: d of the 2-D boxes sweeps run on
+
+
+def _fit_power(x, y):
     scale = np.maximum(np.abs(y), 1e-12)
 
     def resid(eps):
@@ -157,7 +160,7 @@ def _fit_power(x, y, eps_max):
         c0 = float((w * y / scale).sum() / (w * w).sum())
         return rms_relative(c0 * a, y), c0
 
-    eps, _ = bounded_minimum(lambda e: resid(e)[0], 0.01, eps_max, xatol=1e-6)
+    eps, _ = bounded_minimum(lambda e: resid(e)[0], 0.01, _EPS_MAX, xatol=1e-6)
     r, c0 = resid(eps)
     return FitResult("power", (c0, eps), r)
 
@@ -171,12 +174,12 @@ def _fit_exp(x, y):
     return FitResult("exp", (c0, gamma), rms_relative(c0 * np.exp(gamma * x), y))
 
 
-def fit_models(points, eps_max: float = 2.0, models=("log", "power", "affine", "exp")) -> dict:
+def fit_models(points, models=("log", "power", "affine", "exp")) -> dict:
     """Fit the requested model families to (x, y) points; x strictly increasing.
 
     Returns a dict model name -> FitResult; every model sees exactly the
     same points. The power exponent is found by ``bounded_minimum`` on
-    [0.01, eps_max].
+    [0.01, _EPS_MAX].
     """
     pts = sorted((float(x), float(y)) for x, y in points)
     if len(pts) < 4:
@@ -190,7 +193,7 @@ def fit_models(points, eps_max: float = 2.0, models=("log", "power", "affine", "
     if "log" in models:
         out["log"] = _fit_log(x, y)
     if "power" in models:
-        out["power"] = _fit_power(x, y, eps_max)
+        out["power"] = _fit_power(x, y)
     if "affine" in models:
         out["affine"] = _fit_affine(x, y)
     if "exp" in models:

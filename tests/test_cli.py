@@ -229,6 +229,14 @@ def test_main_seminorm_exit_code(capsys):
     assert out.splitlines()[0].startswith("name,")
 
 
+def test_seminorm_row_quotes_a_name_with_commas(capsys):
+    f = "trig:seed=7,modes=5"
+    assert main(["seminorm", "--f", f, "--grid-n", "32", "--stride", "16"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1 and rows[0]["name"] == f
+    assert None not in rows[0]  # no field beyond the header's six
+
+
 def test_main_sweep_writes_file(tmp_path, monkeypatch):
     monkeypatch.setenv("OSCILLAB_OUT_DIR", str(tmp_path))
     code = main(

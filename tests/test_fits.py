@@ -76,9 +76,9 @@ def test_power_data_best_fit_is_power():
 
 
 def test_power_exponent_bounded_by_dimension():
-    # steeper-than-quadratic data: the exponent search is capped at eps_max
+    # steeper-than-quadratic data: the exponent search is capped at d = 2
     pts = [(x, x**3.0) for x in XS]
-    f = fit_models(pts, eps_max=2.0)["power"]
+    f = fit_models(pts)["power"]
     assert f.coeffs[1] <= 2.0 + 1e-9
 
 
