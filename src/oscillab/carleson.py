@@ -25,7 +25,7 @@ from .domain import (
     points_in_ball,
 )
 from .errors import HeightExceeded, NonPeriodic
-from .maps import BiLipMap
+from .maps import BiLipMap, require_torus_map
 
 LOG2 = math.log(2.0)
 
@@ -134,11 +134,14 @@ def carleson_norm(mu: CarlesonDensity, family) -> Sup:
 def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
     """Pull-back density: shell-wise spatial composition beta(t, phi(x)).
 
-    Valid as a density pull-back precisely because phi preserves measure.
+    Valid as a density pull-back precisely because phi preserves measure,
+    and on a torus only for a map of the torus (NotTorusMap otherwise).
     Densities that carry their generating callable are resampled exactly;
     gridded ones are interpolated per shell and read zero at points leaving
     the window.
     """
+    if mu.grid.box.periodic:
+        require_torus_map(phi, mu.grid)
     pts = phi.forward(mu.grid.cell_centers())
     if mu.beta is not None:
         new_beta = lambda t, q, b=mu.beta: np.asarray(b(t, phi.forward(np.asarray(q))))

@@ -128,13 +128,13 @@ def parse_map(spec: str) -> maps.BiLipMap:
     return phi
 
 
-def _resolve_function(spec: str, grid: Grid) -> tuple:
-    """The builtin function of ``spec`` and its samples on ``grid``; a key value
-    the builtin cannot take (``trig:seed=-1``, ``bump:radius=0``) is a SpecError."""
+def _resolve_function(spec: str, grid: Grid) -> GridFunction:
+    """The builtin function of ``spec`` on ``grid``; a key value the builtin
+    cannot take (``trig:seed=-1``, ``bump:radius=0``) is a SpecError."""
     fn = _build(corpus.FUNCTIONS, "builtin function", spec, grid)
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return fn, fn if isinstance(fn, GridFunction) else GridFunction.from_callable(grid, fn)
+            return fn if isinstance(fn, GridFunction) else GridFunction.from_callable(grid, fn)
     except (ArithmeticError, ValueError) as exc:
         raise SpecError(f"bad parameters in builtin function spec {spec!r}: {exc}") from exc
 
@@ -296,12 +296,12 @@ def _run_composition(spec: SweepSpec, grid: Grid):
     k_ests = [maps.estimate_K(phi, seed=spec.seed, box=grid.box) for phi in phis]
     rows, points = [], {}
     for fname in spec.functions:
-        fn, f = _resolve_function(fname, grid)
+        f = _resolve_function(fname, grid)
         s_in = _seminorm(f, params, family).value
         for mspec, phi, k_est in zip(spec.maps, phis, k_ests):
             if s_in <= 0:
                 raise ZeroSeminorm("cannot form a composition ratio for a constant")
-            ratio = _seminorm(compose(fn, phi, grid), params, family).value / s_in
+            ratio = _seminorm(compose(f, phi), params, family).value / s_in
             rows.append({"map": phi.name, "params": mspec, "function": fname,
                          "K_analytic": phi.K, "K_estimated": k_est, "seminorm_in": s_in,
                          "seminorm_out": ratio * s_in, "ratio": ratio})
@@ -344,11 +344,11 @@ def _run_carleson(spec: SweepSpec, grid: Grid):
 def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
     """Seminorm of the solution at each of ``spec.times``, relative to t = 0.
 
-    ``solve(spec, grid, v, fn, u0)`` returns one GridFunction per output
-    time; ``fit(v, pts)`` fits the (t, ratio) points with t > 0.
+    ``solve(spec, v, u0)`` returns one GridFunction per output time;
+    ``fit(v, pts)`` fits the (t, ratio) points with t > 0.
     """
     v = _build(FIELD_BUILDERS, "vector field", spec.field_name)
-    fn, u0 = _resolve_function(spec.functions[0], grid)
+    u0 = _resolve_function(spec.functions[0], grid)
     family = spec.family(grid)
     params = OscillationParams(p=spec.p, a=spec.a)
     base = _seminorm(u0, params, family).value
@@ -356,7 +356,7 @@ def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
         raise ZeroSeminorm(f"cannot form a growth ratio for the constant initial profile "
                            f"{spec.functions[0]!r}")
     rows, pts = [], []
-    for t, u in zip(spec.times, solve(spec, grid, v, fn, u0)):
+    for t, u in zip(spec.times, solve(spec, v, u0)):
         # a snapshot equal to u0 (the t = 0 rows) reuses its seminorm
         val = base if np.array_equal(u.values, u0.values) else _seminorm(u, params, family).value
         rows.append({"t": t, "seminorm": val, "ratio": val / base,
@@ -367,11 +367,11 @@ def _run_series(spec: SweepSpec, grid: Grid, solve, fit):
     return rows, ({spec.kind: fit(v, pts)} if len(pts) >= 4 else {})
 
 
-def _solve_transport(spec: SweepSpec, grid: Grid, v, fn, u0) -> list:
-    return solve_transport(v, fn, grid, spec.dt, spec.times)
+def _solve_transport(spec: SweepSpec, v, u0) -> list:
+    return solve_transport(v, u0, spec.dt, spec.times)
 
 
-def _solve_perturbed(spec: SweepSpec, grid: Grid, v, fn, u0) -> list:
+def _solve_perturbed(spec: SweepSpec, v, u0) -> list:
     return solve_perturbed(v, u0, max(spec.times), spec.dt, spec.times)
 
 
@@ -466,7 +466,7 @@ def _cmd_run(args) -> int:
 def _cmd_seminorm(args) -> int:
     spec = _spec(args)
     grid = spec.grid()
-    _, f = _resolve_function(args.f, grid)
+    f = _resolve_function(args.f, grid)
     est = _seminorm(f, OscillationParams(p=spec.p, a=spec.a), spec.family(grid))
     cx = ";".join(f"{c:.6g}" for c in est.argmax_ball.center)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -547,7 +547,7 @@ def _parser() -> _Parser:
     parser = _Parser(prog="oscillab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("seminorm", help="oscillation seminorm of a builtin or file")
+    p = sub.add_parser("seminorm", help="oscillation seminorm of a builtin function")
     p.add_argument("--f", required=True)
     _add(p, f"{_BOX} --periodic --stride --radii --p --a")
     p.set_defaults(run=_cmd_seminorm)

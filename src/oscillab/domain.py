@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadGrid, BadParameter, BadRadius, DegenerateMask, EmptyBall, EmptyFamily
+from .errors import (BadGrid, BadParameter, BadRadius, DegenerateMask, EmptyBall, EmptyFamily,
+                     OutOfDomain)
 
 # volume of the unit ball in d dimensions, d = 1, 2, 3
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -158,10 +159,12 @@ class Balls(Sequence):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real scalar samples at the cell centers of a grid (flat, C-ordered)."""
+    """Real scalar samples at the cell centers of a grid (flat, C-ordered),
+    and the vectorized callable ``fn`` they sample, if there is one."""
 
     grid: Grid
     values: np.ndarray
+    fn: object = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).ravel()
@@ -174,7 +177,20 @@ class GridFunction:
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
         """Sample ``fn`` (vectorized over an (N, d) array) at the cell centers."""
-        return cls(grid, np.asarray(fn(grid.cell_centers()), dtype=float))
+        return cls(grid, np.asarray(fn(grid.cell_centers()), dtype=float), fn)
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """The function at the (N, d) ``points``: ``fn`` itself, else the
+        multilinear interpolation of the samples (wrapping on a torus), where
+        a point outside a non-periodic window raises OutOfDomain."""
+        if self.fn is not None:
+            return np.asarray(self.fn(points), dtype=float)
+        if not self.grid.box.periodic:
+            inside = self.grid.box.contains(points)
+            if not inside.all():
+                bad = ", ".join(f"{x:g}" for x in points[~inside][0])
+                raise OutOfDomain(f"mapped point ({bad}) leaves the window")
+        return interpolate(self.grid, self.values, points)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ class NonPeriodic(OscillabError):
 
 
 class NotTorusMap(OscillabError, ValueError):
-    """A map used on a periodic box does not carry period translates to period translates."""
+    """A map used on a periodic box does not carry period translates to period
+    translates, or a vector field used there is not periodic."""
 
 
 class TooFewPoints(OscillabError):

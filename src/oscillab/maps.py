@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import _BLOCK_CELLS, Ball, Box, Grid, cells_in_ball, points_in_ball
-from .errors import BadParameter, StepTooLarge, ViolatedBound
+from .errors import BadParameter, NotTorusMap, StepTooLarge, ViolatedBound
 
 # central-difference step prefactor: 10 * eps^(1/3), standard for first derivatives
 _FD_STEP = 10.0 * np.finfo(float).eps ** (1.0 / 3.0)
@@ -443,3 +443,39 @@ def check_lip_inverse_bound(phi: BiLipMap, box: Box, samples: int = 1000, seed: 
             i = int(np.argmax(gap))
             raise ViolatedBound("2D operator-norm equality failed", tuple(pts[i]))
     return True
+
+
+# every _TORUS_STRIDE-th cell center is sampled by the torus checks; a prime
+# stride spreads the sample over all rows of a power-of-two grid
+_TORUS_STRIDE = 61
+
+
+def require_torus_map(phi: BiLipMap, grid: Grid) -> None:
+    """Raise NotTorusMap unless phi^-1(x + L e_k) - phi^-1(x) is a lattice
+    vector (to 1e-9 L) for every axis k on a strided sample of centers."""
+    side = grid.box.side
+    x = grid.cell_centers()[::_TORUS_STRIDE]
+    pre = phi.inverse(x)
+    for k, period in enumerate(side * np.eye(grid.d)):
+        q = (phi.inverse(x + period) - pre) / side
+        if not np.abs(q - np.round(q)).max() <= 1e-9:
+            raise NotTorusMap(
+                f"map {phi.name} is not a torus map: a period along axis {k} "
+                "does not map to a period"
+            )
+
+
+def require_periodic_field(v: VectorField, grid: Grid) -> None:
+    """Raise NotTorusMap unless v(x + L e_k) = v(x) (to 1e-9 max|v|) for
+    every axis k on the sample of centers that ``require_torus_map`` takes:
+    only a periodic field flows the torus to itself."""
+    x = grid.cell_centers()[::_TORUS_STRIDE]
+    vx = v(x)
+    # rounding x + L, and v's own argument, moves v by up to about
+    # Lip eps |x|: more than 1e-9 max|v| on a torus far from the origin
+    tol = (1e-9 * np.abs(vx).max()
+           + 16 * np.finfo(float).eps * v.lip * (np.abs(x).max() + grid.box.side))
+    for k, period in enumerate(grid.box.side * np.eye(grid.d)):
+        if not np.abs(v(x + period) - vx).max() <= tol:
+            raise NotTorusMap(f"field {v.name} is not periodic: it changes by a period "
+                              f"along axis {k}")

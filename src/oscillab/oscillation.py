@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Ball, BallFamily, Grid, GridFunction, Sup, ball_average, interpolate
-from .errors import BadParameter, DomainError, OutOfDomain, ZeroSeminorm
-from .maps import BiLipMap
+from .domain import Ball, BallFamily, GridFunction, Sup, ball_average
+from .errors import BadParameter, DomainError, ZeroSeminorm
+from .maps import BiLipMap, require_torus_map
 
 
 @dataclass(frozen=True)
@@ -113,34 +113,22 @@ def _oscillation_bound(f: GridFunction, family: BallFamily, p: float) -> np.ndar
     return (span + offset) ** e * np.hypot(top * np.sqrt(var), offset) ** (1 - e) * (1 + slack)
 
 
-def compose(f, phi: BiLipMap, out_grid: Grid | None = None) -> GridFunction:
-    """Sample f o phi on a grid.
-
-    ``f`` may be a GridFunction (multilinear interpolation at the mapped
-    cell centers, wrapping on periodic boxes) or a plain callable over
-    (N, d) points (exact analytic composition). Mapped points leaving a
-    non-periodic window raise OutOfDomain; a sample that is not finite
-    raises BadParameter.
+def compose(f: GridFunction, phi: BiLipMap) -> GridFunction:
+    """Sample f o phi on the grid of f, from ``f.at`` at the mapped cell
+    centers: exact where f keeps its callable, else interpolated. On a torus
+    phi must be a map of the torus (NotTorusMap otherwise); a mapped point
+    that leaves a non-periodic window raises OutOfDomain when f is
+    interpolated, and a sample that is not finite raises BadParameter.
     """
-    if out_grid is None:
-        if not isinstance(f, GridFunction):
-            raise ValueError("out_grid is required when f is a callable")
-        out_grid = f.grid
-    pts = phi.forward(out_grid.cell_centers())
-    if isinstance(f, GridFunction):
-        if not f.grid.box.periodic:
-            inside = f.grid.box.contains(pts)
-            if not inside.all():
-                bad = ", ".join(f"{x:g}" for x in pts[~inside][0])
-                raise OutOfDomain(f"mapped point ({bad}) leaves the window")
-        vals = interpolate(f.grid, f.values, pts)
-    else:
-        vals = np.asarray(f(pts), dtype=float)
+    if f.grid.box.periodic:
+        require_torus_map(phi, f.grid)
+    pts = phi.forward(f.grid.cell_centers())
+    vals = f.at(pts)
     finite = np.isfinite(vals)
     if not finite.all():
         bad = ", ".join(f"{x:g}" for x in pts[~finite][0])
         raise BadParameter(f"{phi.name} sends a cell center to ({bad}), where f is not finite")
-    return GridFunction(out_grid, vals)
+    return GridFunction(f.grid, vals)
 
 
 def check_average_shift(

@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .domain import _BLOCK_CELLS, Grid, GridFunction, interpolate
-from .errors import BadParameter, NonPeriodic, OutOfDomain, StepTooLarge
-from .maps import MAX_STEPS, VectorField, _rk4
+from .domain import _BLOCK_CELLS, Grid, GridFunction
+from .errors import BadParameter, NonPeriodic, StepTooLarge
+from .maps import MAX_STEPS, VectorField, _rk4, require_periodic_field
 from .fits import bounded_minimum, rms_relative
 
 if TYPE_CHECKING:
@@ -43,40 +43,32 @@ def _check_times(times, t_end: float, step: float) -> None:
         )
 
 
-def _evaluate_initial(u0, grid: Grid, pts: np.ndarray) -> np.ndarray:
-    if isinstance(u0, GridFunction):
-        if not grid.box.periodic:
-            inside = grid.box.contains(pts)
-            if not inside.all():
-                raise OutOfDomain("characteristic foot leaves the window")
-        return interpolate(u0.grid, u0.values, pts)
-    return np.asarray(u0(pts), dtype=float)
-
-
-def solve_transport(v: VectorField, u0, grid: Grid, step: float, times) -> list:
-    """Snapshots on ``grid`` of the profile ``u0`` (a GridFunction or a
-    callable over (N, d) points) advected by the divergence-free field v
-    with RK4 steps of length ``step``, at ``times`` (each nonnegative), in
-    the order asked.
+def solve_transport(v: VectorField, u0: GridFunction, step: float, times) -> list:
+    """Snapshots of the profile ``u0`` advected by the divergence-free field
+    v with RK4 steps of length ``step``, at ``times`` (each nonnegative), in
+    the order asked; on a torus v must be periodic (NotTorusMap otherwise).
 
     For a steady field the backward flow composes, Phi_{-t2} =
     Phi_{-(t2 - t1)} o Phi_{-t1}, so the RK4 feet of the cell centers are
-    carried from one output time to the next in increasing order. Feet are
-    wrapped onto the torus only to evaluate ``u0``; a t = 0 snapshot is ``u0``
-    at the cell centers.
+    carried from one output time to the next in increasing order. A snapshot
+    is ``u0.at`` the feet, which are wrapped onto the torus only for it; a
+    t = 0 snapshot is ``u0`` at the cell centers.
     """
+    grid = u0.grid
     if not 0 < step < math.inf:
         raise BadParameter(f"time step {step:g} must be finite and positive")
     if step * v.lip > 0.1 and v.lip > 0:
         raise StepTooLarge(f"step {step} too large for Lipschitz constant {v.lip}")
     _check_times(times, max(times, default=0.0), step)
+    if grid.box.periodic:
+        require_periodic_field(v, grid)
     low = np.asarray(grid.box.lower)
     feet, now, out = grid.cell_centers(), 0.0, {}
     for t in sorted(set(times)):
         feet = _rk4(v, feet, now - t, step)
         now = t
-        at = low + np.mod(feet - low, grid.box.side) if grid.box.periodic and t > 0 else feet
-        out[t] = GridFunction(grid, _evaluate_initial(u0, grid, at))
+        pts = low + np.mod(feet - low, grid.box.side) if grid.box.periodic and t > 0 else feet
+        out[t] = GridFunction(grid, u0.at(pts))
     return [out[t] for t in times]
 
 
@@ -184,7 +176,7 @@ def solve_perturbed(
     matrix built once. The closing half step of one step and the opening
     half step of the next are merged into one ``exp(dt * m)``; they are
     split only where a snapshot is taken. A field that overflows raises
-    BadParameter.
+    BadParameter; a velocity that is not periodic raises NotTorusMap.
     """
     grid = omega0.grid
     if not grid.box.periodic:
@@ -194,6 +186,7 @@ def solve_perturbed(
     if dt * u_field.lip > 0.5:
         raise StepTooLarge(f"dt {dt} times Lip {u_field.lip} exceeds 0.5")
     _check_times(times, t_end, dt)
+    require_periodic_field(u_field, grid)
     riesz = RieszOperator(grid)
     n = grid.n
     nsteps = int(round(t_end / dt))

@@ -36,34 +36,13 @@ from .domain import (
     points_in_ball,
     unit_ball_volume,
 )
-from .errors import BadParameter, DegenerateMask, NotTorusMap, OutOfDomain, RadiusViolation
-from .maps import BiLipMap
+from .errors import BadParameter, DegenerateMask, OutOfDomain, RadiusViolation
+from .maps import BiLipMap, require_torus_map
 from .oscillation import rho
 
 # inscribed balls are shrunk by this factor so adjacent cubes' balls
 # cannot touch; doubled balls still cover the cube diagonal (0.995 > 1/sqrt2)
 _BALL_SHRINK = 0.995
-
-# every _TORUS_STRIDE-th cell center is checked by _require_torus_map; a
-# prime stride spreads the sample over all rows of a power-of-two grid
-_TORUS_STRIDE = 61
-
-
-def _require_torus_map(phi: BiLipMap, grid: Grid) -> None:
-    """Raise NotTorusMap unless phi^-1(x + L e_k) - phi^-1(x) is a lattice
-    vector (to 1e-9 L) for every axis k on a strided sample of centers."""
-    side = grid.box.side
-    x = grid.cell_centers()[::_TORUS_STRIDE]
-    pre = phi.inverse(x)
-    for k in range(grid.d):
-        shifted = x.copy()
-        shifted[:, k] += side
-        q = (phi.inverse(shifted) - pre) / side
-        if not np.abs(q - np.round(q)).max() <= 1e-9:
-            raise NotTorusMap(
-                f"map {phi.name} is not a torus map: a period along axis {k} "
-                "does not map to a period"
-            )
 
 
 def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
@@ -71,13 +50,13 @@ def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
 
     Membership through the inverse map leaves no rasterization holes, which
     forward point-dumping would. On a periodic box phi must be a map of the
-    torus (NotTorusMap otherwise): membership there counts every periodic
-    copy of B.
+    torus (``maps.require_torus_map``, as in ``compose`` and ``pullback``;
+    NotTorusMap otherwise): membership there counts every periodic copy of B.
     """
     centers = grid.cell_centers()
     pre = phi.inverse(centers)
     if grid.box.periodic:
-        _require_torus_map(phi, grid)
+        require_torus_map(phi, grid)
     else:
         # the preimage samples themselves are fine; what must stay inside the
         # window is the set we rasterize, which is a subset of the grid by

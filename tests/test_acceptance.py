@@ -75,7 +75,7 @@ def _sawtooth_profile(y):
 
 
 def _grid_fn(name, grid):
-    return _resolve_function(name, grid)[1]
+    return _resolve_function(name, grid)
 
 
 def test_criterion_01_isometry_exactness():

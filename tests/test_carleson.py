@@ -159,7 +159,7 @@ def test_scaled_density_quadratic_norm():
 
 def test_bmo_to_carleson_basics():
     g = Grid(TORUS, 128)
-    _, gf = _resolve_function("log", g)
+    gf = _resolve_function("log", g)
     mu = bmo_to_carleson(gf)
     assert mu.shells == default_shell_count(g)
     fam = ball_family(g, 16, [0.0625, 0.125, 0.25])

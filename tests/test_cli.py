@@ -1,6 +1,7 @@
 """Sweep specs, map grammar, CSV output, determinism, CLI errors."""
 
 import argparse
+import ast
 import csv
 import io
 import math
@@ -213,9 +214,9 @@ def test_user_input_is_not_dropped(argv, named, capsys, tmp_path):
 
 def test_function_kwargs_parse_as_numbers():
     g = Grid(Box((-1.0, -1.0), 2.0), 32)
-    fn, samples = _resolve_function("log:clamp=1e-3", g)
-    np.testing.assert_array_equal(samples.values, fn(g.cell_centers()))
-    assert fn(np.zeros((1, 2)))[0] == pytest.approx(math.log(1e-3))
+    gf = _resolve_function("log:clamp=1e-3", g)
+    np.testing.assert_array_equal(gf.values, gf.fn(g.cell_centers()))
+    assert gf.at(np.zeros((1, 2)))[0] == pytest.approx(math.log(1e-3))
     for f in ("log:clamp=1e-3", "checker:seed=3"):
         assert main(["seminorm", "--f", f, "--grid-n", "32", "--stride", "16"]) == 0
 
@@ -269,6 +270,8 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
     far_torus = tmp_path / "far.txt"
     far_torus.write_text("kind=bmo-composition\nperiodic=true\nbox_lower=0,0\nbox_side=1\n"
                          "maps=translation:dx=1e300\nfunctions=checker\ngrid_n=32\n")
+    unit_torus = tmp_path / "torus.txt"
+    unit_torus.write_text("periodic=true\nbox_lower=0,0\nbox_side=1\n")
     torus = ["--periodic", "--box-lower", "0", "0", "--box-side", "1", "--grid-n", "32"]
     bad_inputs = [
         ["whitney", "--map", "wormhole", "--ball", "0,0,0.2"],
@@ -297,9 +300,13 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
         ["seminorm", "--f", "log", "--radii", "0.1,x", "--grid-n", "32"],
         ["whitney", "--map", "strain:t=1", "--ball", "0,0", "--grid-n", "32"],
         ["whitney", "--map", "strain:t=1", "--ball", "0,0,0", "--grid-n", "32"],
-        # strain is not a map of the torus
+        # strain is not a map of the torus, nor the strain field periodic
         ["whitney", "--periodic", "--map", "strain:t=0.5", "--ball", "0,0,0.25",
          "--grid-n", "32"],
+        ["sweep", "--spec", str(unit_torus), "--kind", "bmo-composition",
+         "--maps", "strain:t=0.5;shear:lambda=1", "--grid-n", "32", "--stride", "8"],
+        ["carleson", "--density", "bmo", *torus, "--stride", "8", "--map", "strain:t=0.5"],
+        ["transport", *torus, "--field", "strain", "--times", "0,0.1"],
         ["sweep", "--spec", str(bad_spec)],
         ["sweep", "--spec", str(line_box), "--grid-n", "32"],
         ["sweep", "--spec", str(tmp_path / "missing.txt")],
@@ -585,6 +592,26 @@ def test_certified_torus_cover_loads_only_scipy_ndimage():
     proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+# imported names that their module keeps on purpose: perfbench's tracer reads
+# whitney.cells_in_ball
+KEPT_IMPORTS = {("whitney", "cells_in_ball")}
+
+
+def test_no_unused_import_in_the_package():
+    # no linter runs over the package; an imported name must be read in its module
+    unused = set()
+    for path in sorted(Path(oscillab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and
+                    getattr(node, "module", "") != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - read}
+    assert unused == KEPT_IMPORTS
 
 
 def _run_bounded(argv, memory=1 << 30, timeout=20):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab.domain import Box, Grid
-from oscillab.errors import StepTooLarge, ViolatedBound
+from oscillab.errors import NotTorusMap, StepTooLarge, ViolatedBound
 from oscillab.maps import (
     VectorField,
     cellular_field,
@@ -27,6 +27,7 @@ from oscillab.maps import (
     make_shear,
     make_stretch,
     make_translation,
+    require_periodic_field,
     strain_field,
 )
 
@@ -148,6 +149,15 @@ def test_divergence_residual_cellular():
     v = cellular_field(0.2, 2)
     pts = Grid(BOX, 64).cell_centers()[::13]
     assert v.divergence_residual(pts) < 1e-6
+
+
+def test_periodic_field_check_far_from_the_origin():
+    # the rounding of x + L grows with |x|; a periodic field stays accepted there
+    for lower in (0.0, 1e6, 1e7):
+        grid = Grid(Box((lower, lower), 1.0, periodic=True), 32)
+        require_periodic_field(cellular_field(0.01, 2), grid)
+        with pytest.raises(NotTorusMap):
+            require_periodic_field(strain_field(), grid)
 
 
 def test_twist_distortion_bounded():

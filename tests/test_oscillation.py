@@ -26,7 +26,7 @@ from oscillab.domain import (
     cells_in_ball,
 )
 from oscillab.errors import DomainError, EmptyFamily, OutOfDomain, ZeroSeminorm
-from oscillab.corpus import builtin_density, log_singularity
+from oscillab.corpus import builtin_density, log_singularity, trig_poly
 from oscillab.maps import make_rotation, make_translation
 from oscillab.oscillation import (
     OscillationParams,
@@ -42,7 +42,7 @@ WINDOW = Box((-1.0, -1.0), 2.0, periodic=False)
 
 
 def _grid_fn(name, grid):
-    return _resolve_function(name, grid)[1]
+    return _resolve_function(name, grid)
 
 
 def test_rho_values():
@@ -115,15 +115,21 @@ def test_compose_exact_translation_on_torus():
 
 
 def test_compose_out_of_window_raises():
+    # samples alone are interpolated, which needs the mapped points in the window
     g = Grid(WINDOW, 64)
-    f = _grid_fn("trig", g)
+    f = GridFunction(g, _grid_fn("trig", g).values)
     with pytest.raises(OutOfDomain):
         compose(f, make_translation((1.5, 0.0)))
 
 
-def test_compose_callable_needs_out_grid():
-    with pytest.raises(ValueError):
-        compose(lambda x: x[:, 0], make_translation((0.1, 0.0)))
+def test_compose_keeps_the_callable_exact_off_the_window():
+    # a function that keeps its callable is composed exactly, also where the
+    # image of the window leaves it
+    g = Grid(WINDOW, 64)
+    fn = trig_poly(seed=3)
+    phi = make_translation((1.5, 0.0))
+    comp = compose(GridFunction.from_callable(g, fn), phi)
+    assert np.array_equal(comp.values, fn(phi.forward(g.cell_centers())))
 
 
 def test_composition_ratio_identityish():
@@ -365,7 +371,7 @@ def test_pruned_seminorm_gathers_few_balls(monkeypatch):
     # leaves fewer than 5% of the balls to gather, and p = 3 fewer than half
     g = Grid(TORUS, 256)
     fam = ball_family(g, 16, default_radii(g))
-    _, f = _resolve_function("trig:seed=3", g)
+    f = _resolve_function("trig:seed=3", g)
     sup, gathered = BallFamily.sup, []
 
     def counting(self, rows, bound=None):

@@ -26,14 +26,15 @@ WINDOW = Box((-1.0, -1.0), 2.0, periodic=False)
 def test_step_guard():
     g = Grid(WINDOW, 64)
     with pytest.raises(StepTooLarge):
-        solve_transport(strain_field(), log_singularity(), g, 0.5, [1.0])
+        solve_transport(strain_field(), GridFunction.from_callable(g, log_singularity()), 0.5,
+                        [1.0])
 
 
 def test_constant_advection_is_translation():
     g = Grid(TORUS, 64)
     v = constant_field((0.25, 0.0))
     fn = trig_poly(seed=2, modes=3)
-    (u1,) = solve_transport(v, fn, g, 0.05, [1.0])
+    (u1,) = solve_transport(v, GridFunction.from_callable(g, fn), 0.05, [1.0])
     shifted = fn(g.cell_centers() - np.array([0.25, 0.0]))
     assert np.abs(u1.values - shifted).max() < 1e-9
 
@@ -45,7 +46,7 @@ def test_transport_constant_along_characteristics():
     g = Grid(WINDOW, 64)
     v = strain_field()
     fn = log_singularity(clamp=2 * g.h)
-    (u1,) = solve_transport(v, fn, g, 0.02, [1.0])
+    (u1,) = solve_transport(v, GridFunction.from_callable(g, fn), 0.02, [1.0])
     phi = integrate_flow(v, 1.0, 0.02)
     centers = g.cell_centers()
     inside = np.abs(phi.forward(centers)).max(axis=1) < 1.0
@@ -62,15 +63,15 @@ def test_transport_feet_carried_in_order_asked():
     # unsorted, duplicated times; each snapshot is within tolerance of a
     # single-time solve, which integrates from t = 0
     g = Grid(TORUS, 64)
-    fn = trig_poly(seed=8, modes=3)
+    u0 = GridFunction.from_callable(g, trig_poly(seed=8, modes=3))
     v = cellular_field(0.03, 1)
     times = [1.5, 0.3, 0.0, 1.5, 0.75]
-    sols = solve_transport(v, fn, g, 0.02, times)
+    sols = solve_transport(v, u0, 0.02, times)
     assert len(sols) == len(times)
     for t, sol in zip(times, sols):
-        (alone,) = solve_transport(v, fn, g, 0.02, [t])
+        (alone,) = solve_transport(v, u0, 0.02, [t])
         assert np.abs(sol.values - alone.values).max() <= 1e-9 * np.abs(alone.values).max()
-    assert np.array_equal(sols[2].values, GridFunction.from_callable(g, fn).values)
+    assert np.array_equal(sols[2].values, u0.values)
 
 
 def test_strain_transport_matches_analytic_feet():
@@ -79,14 +80,16 @@ def test_strain_transport_matches_analytic_feet():
     fn = log_singularity(clamp=2 * g.h)
     times = [0.4, 1.0, 0.0, 0.7]
     centers = g.cell_centers()
-    for t, sol in zip(times, solve_transport(strain_field(), fn, g, 0.02, times)):
+    u0 = GridFunction.from_callable(g, fn)
+    for t, sol in zip(times, solve_transport(strain_field(), u0, 0.02, times)):
         feet = centers * np.array([math.exp(-t), math.exp(t)])
         assert np.abs(sol.values - fn(feet)).max() <= 1e-8
 
 
 def test_transport_time_validation():
     with pytest.raises(BadParameter):  # a negative output time
-        solve_transport(constant_field((0.25, 0.0)), trig_poly(seed=2), Grid(TORUS, 32), 0.05,
+        solve_transport(constant_field((0.25, 0.0)),
+                        GridFunction.from_callable(Grid(TORUS, 32), trig_poly(seed=2)), 0.05,
                         [0.0, -0.1])
 
 
