@@ -17,6 +17,7 @@ import numpy as np
 
 from .carleson import CarlesonDensity, bmo_to_carleson, default_shell_count, density_from_callable
 from .domain import Box, Grid, GridFunction
+from .errors import BadParameter
 
 
 def _dist_to(pts: np.ndarray, center, box: Box | None = None) -> np.ndarray:
@@ -59,8 +60,16 @@ def sawtooth(k: int = 1):
     return fn
 
 
+# Most modes of a trig polynomial: sampling it costs one sine pass over the
+# grid per mode, and its coefficients take 32 bytes per mode.
+_TRIG_MODES_MAX = 1024
+
+
 def trig_poly(seed: int = 0, modes: int = 3):
-    """Seeded random trigonometric polynomial on the unit torus."""
+    """Seeded random trigonometric polynomial on the unit torus, of at most
+    ``_TRIG_MODES_MAX`` modes (BadParameter otherwise; 0 modes is zero)."""
+    if not 0 <= modes <= _TRIG_MODES_MAX:
+        raise BadParameter(f"trig modes must be in [0, {_TRIG_MODES_MAX}], got {modes}")
     rng = np.random.default_rng(seed)
     ks = rng.integers(1, 4, size=(modes, 2))
     amps = rng.normal(size=modes) / modes

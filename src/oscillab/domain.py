@@ -291,13 +291,29 @@ def ball_oscillation(f: GridFunction, ball: Ball, p: float = 1.0) -> float:
     return float(np.mean(dev**p) ** (1.0 / p))
 
 
+# Cap on the cells of one gathered index block (balls x cells, or shifts x
+# cells in a distance transform), so the working set of a reduction does not
+# grow with its input.
+_BLOCK_CELLS = 1 << 16
+
+
 def distance_transform(mask: PixelMask) -> DistanceField:
     """Exact Euclidean distance of each cell center to the mask complement.
 
-    scipy's linear-time transform (Maurer, Qi and Raghavan 2003), exact up to
-    the cell-center discretization of the complement (error at most
-    h * sqrt(d)); complement cells carry zero. scipy sees the smallest
-    array that holds every cell's nearest complement cell:
+    Each mask cell gets sqrt of the float minimum, over the complement cells,
+    of the sum of (h * disp_k)^2 over the axes in order, disp the cell
+    displacement (wrapped on a torus); complement cells carry zero. This is
+    exact up to the cell-center discretization of the complement (error at
+    most h * sqrt(d)). The transform is separable (Felzenszwalb and
+    Huttenlocher 2012), in ``_edt``: the runs of mask cells along axis 0
+    give each cell its squared distance within its line, and each later
+    axis is a min-plus pass over shifts. Rounding is monotone, so a float minimum of the per-axis sums
+    passes through each stage unchanged, and the result equals the direct
+    minimum over all complement cells bit for bit. On a dyadic side every
+    such sum is exact, so it also equals scipy's ``distance_transform_edt``.
+
+    The transform sees the smallest array that holds every cell's nearest
+    complement cell:
 
     - On a window, the mask's bounding box widened by one cell per side and
       clipped to the grid. A complement cell outside that box is farther
@@ -314,9 +330,17 @@ def distance_transform(mask: PixelMask) -> DistanceField:
       complement cell, at most D cells away per axis, lies inside the
       padded array. A larger radius makes count >= omega_d (n/2)^d and p =
       n/2, half a period, which holds every shortest wrapped displacement.
-    """
-    from scipy.ndimage import distance_transform_edt
 
+    Cost: the first axis is O(cells). A min-plus pass shifts only the cells
+    whose value a shift can still lower, and a cell leaves it within about
+    twice the root of its value in cells. In two dimensions that root is
+    the cell's distance, so the work is O(cells x R), R the largest
+    distance in cells. By the count argument above R <= (count /
+    omega_d)^(1/d) + sqrt(d)/2 on a torus, and on a window whose mask keeps
+    off the grid's edge; a window mask that fills the grid up to its edge
+    can reach R ~ n. In three dimensions the middle pass may shift a cell
+    up to the padded length (p on a torus).
+    """
     grid = mask.grid
     n, d, count = grid.n, grid.d, mask.count
     if count == 0 or count == grid.size:
@@ -325,18 +349,113 @@ def distance_transform(mask: PixelMask) -> DistanceField:
     if grid.box.periodic:
         reach = (count / unit_ball_volume(d)) ** (1.0 / d) + math.sqrt(d) / 2
         pad = min(n // 2, math.ceil(reach))
-        dist = distance_transform_edt(np.pad(bits, pad, mode="wrap"), sampling=grid.h)
-        return DistanceField(grid, dist[(slice(pad, pad + n),) * d].ravel())
+        return DistanceField(grid, _edt(np.pad(bits, pad, mode="wrap"), grid.h, pad).ravel())
     rows = [np.flatnonzero(bits.any(axis=tuple(j for j in range(d) if j != k))) for k in range(d)]
     support = tuple(slice(max(r[0] - 1, 0), min(r[-1] + 2, n)) for r in rows)
     dist = np.zeros((n,) * d)
-    dist[support] = distance_transform_edt(bits[support], sampling=grid.h)
+    dist[support] = _edt(bits[support], grid.h, 0)
     return DistanceField(grid, dist.ravel())
 
 
-# Cap on the cells of one gathered (balls x cells) index block, so the
-# working set of a reduction does not grow with the family.
-_BLOCK_CELLS = 1 << 16
+def _edt(bits: np.ndarray, h: float, pad: int) -> np.ndarray:
+    """Distance of each cell of ``bits`` to its nearest False cell, on the
+    cells at least ``pad`` cells from every face (each axis loses ``pad``
+    cells per side, after its own pass)."""
+    d = bits.ndim
+    f = _line_distances(bits, h, pad)
+    axes = [*range(1, d), 0]  # the original axis of each axis of f
+    for k in range(1, d):
+        at = axes.index(k)
+        g = np.moveaxis(f, at, 0)
+        rest = g.shape[1:]
+        f = _min_plus(np.ascontiguousarray(g).reshape(len(g), -1), h, pad)
+        f = f.reshape((-1,) + rest)
+        axes = [k, *axes[:at], *axes[at + 1:]]
+    return np.transpose(np.sqrt(f, out=f), np.argsort(axes))
+
+
+def _line_distances(bits: np.ndarray, h: float, pad: int) -> np.ndarray:
+    """(h * k)^2, k the cells from each cell of ``bits`` to the nearest False
+    cell of its line along axis 0 (inf if there is none), with axis 0 moved
+    last and cropped by ``pad`` per side."""
+    length, width = bits.shape[0], bits.shape[0] - 2 * pad
+    # each line framed by one False cell per side, so no run of True cells
+    # crosses from one line into the next
+    framed = np.zeros(bits.shape[1:] + (length + 2,), dtype=bool)
+    framed[..., 1:-1] = np.moveaxis(bits, 0, -1)
+    flat = framed.ravel()
+    step = np.diff(flat.view(np.int8))
+    first, last = np.flatnonzero(step == 1) + 1, np.flatnonzero(step == -1)
+    # the False cell before and after each run; a frame cell is none
+    before = np.where(first % (length + 2) == 1, -np.inf, first - 1)
+    after = np.where(last % (length + 2) == length, np.inf, last + 1)
+    runs = last - first + 1
+    cells = np.flatnonzero(flat)
+    k = np.minimum(cells - np.repeat(before, runs), np.repeat(after, runs) - cells)
+    k *= h
+    np.square(k, out=k)
+    line, at = np.divmod(cells, length + 2)
+    at -= 1 + pad
+    kept = (at >= 0) & (at < width)
+    out = np.zeros(bits.shape[1:] + (width,))
+    out.reshape(-1, width)[line[kept], at[kept]] = k[kept]
+    return out
+
+
+def _min_plus(g: np.ndarray, h: float, pad: int) -> np.ndarray:
+    """min over shifts j of g[pad + i + j] + (h * j)^2 along axis 0 of the
+    (length, lines) array ``g``, for i < length - 2 * pad.
+
+    On a torus (pad > 0) the shifts stop at pad, which holds every nearest
+    complement cell; on a window they run to the line's length, and a shift
+    past an end of the line reads inf. A cell is shifted only while its
+    value exceeds (h * j)^2, since no later shift can lower it. The cells go
+    in blocks of at most a quarter of ``_BLOCK_CELLS``, each through runs of
+    shifts that double in length (at most four values per block cell
+    gathered at a time) and stop at the block's largest value; after a run
+    the cells it settled leave.
+    """
+    length, lines = g.shape
+    reach = pad or length - 1
+    parab = np.square(h * np.arange(reach + 1, dtype=float))
+    out = g[pad : length - pad].copy()
+    flat = out.ravel()
+    # on a torus no shift leaves g; on a window each line gets one inf cell
+    # per end, and take's "clip" sends every read past them to the first or
+    # last of those inf cells
+    source = g if pad else np.pad(g, ((1, 1), (0, 0)), constant_values=np.inf)
+    origin = (pad or 1) * lines  # the flat position in source of out's first cell
+    todo = np.flatnonzero(flat > parab[1])
+    block = max(1, min(len(todo), _BLOCK_CELLS // 4))
+    index = np.empty(4 * block, dtype=np.intp)
+    ahead, behind = np.empty(4 * block), np.empty(4 * block)
+    for lo in range(0, len(todo), block):
+        pos = todo[lo : lo + block]
+        cur = flat[pos]
+        j, run = 1, 1
+        while len(pos):
+            stop = min(j + run, j + len(index) // len(pos),
+                       int(np.searchsorted(parab, cur.max(), "right")))
+            if stop <= j:
+                break
+            shape = (stop - j, len(pos))
+            size = shape[0] * shape[1]
+            shift = np.arange(j * lines, stop * lines, lines)[:, None]
+            idx = index[:size].reshape(shape)
+            up, down = ahead[:size].reshape(shape), behind[:size].reshape(shape)
+            np.take(source, np.add(pos, shift + origin, out=idx), out=up, mode="clip")
+            np.take(source, np.subtract(idx, 2 * shift, out=idx), out=down, mode="clip")
+            np.minimum(up, down, out=up)
+            up += parab[j:stop, None]
+            np.minimum(cur, np.minimum.reduce(up, axis=0), out=cur)
+            if stop > reach:
+                break
+            keep = cur > parab[stop]
+            flat[pos] = cur
+            pos, cur = pos[keep], cur[keep]
+            j, run = stop, 2 * run
+        flat[pos] = cur
+    return out
 
 
 class _Group(NamedTuple):

@@ -466,15 +466,16 @@ def require_torus_map(phi: BiLipMap, grid: Grid) -> None:
 
 
 def require_periodic_field(v: VectorField, grid: Grid) -> None:
-    """Raise NotTorusMap unless v(x + L e_k) = v(x) (to 1e-9 max|v|) for
+    """Raise NotTorusMap unless v(x + L e_k) = v(x) (to 1e-9 Lip L) for
     every axis k on the sample of centers that ``require_torus_map`` takes:
     only a periodic field flows the torus to itself."""
     x = grid.cell_centers()[::_TORUS_STRIDE]
     vx = v(x)
-    # rounding x + L, and v's own argument, moves v by up to about
-    # Lip eps |x|: more than 1e-9 max|v| on a torus far from the origin
-    tol = (1e-9 * np.abs(vx).max()
-           + 16 * np.finfo(float).eps * v.lip * (np.abs(x).max() + grid.box.side))
+    # a period moves a field by at most Lip L, whatever max|v| is where the
+    # box sits; rounding x + L, and v's own argument, moves v by up to about
+    # Lip eps |x|: more than 1e-9 Lip L on a torus far from the origin
+    side = grid.box.side
+    tol = v.lip * (1e-9 * side + 16 * np.finfo(float).eps * (np.abs(x).max() + side))
     for k, period in enumerate(grid.box.side * np.eye(grid.d)):
         if not np.abs(v(x + period) - vx).max() <= tol:
             raise NotTorusMap(f"field {v.name} is not periodic: it changes by a period "

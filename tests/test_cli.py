@@ -307,6 +307,9 @@ def test_main_bad_map_is_clean_error(capsys, tmp_path):
          "--maps", "strain:t=0.5;shear:lambda=1", "--grid-n", "32", "--stride", "8"],
         ["carleson", "--density", "bmo", *torus, "--stride", "8", "--map", "strain:t=0.5"],
         ["transport", *torus, "--field", "strain", "--times", "0,0.1"],
+        # far from the origin, where max|v| dwarfs the change over a period
+        ["transport", "--periodic", "--field", "strain", "--box-lower", "1e12", "1e12",
+         "--box-side", "1", "--grid-n", "32", "--stride", "8", "--times", "0,0.1"],
         ["sweep", "--spec", str(bad_spec)],
         ["sweep", "--spec", str(line_box), "--grid-n", "32"],
         ["sweep", "--spec", str(tmp_path / "missing.txt")],
@@ -551,7 +554,7 @@ MAPS = "strain:t=0.5;strain:t=1;shear:lambda=2;twist:alpha=3"
     (["sweep", "--kind", "carleson", "--grid-n", "32", "--maps", MAPS], ()),
     (["transport", "--grid-n", "32"], ()),
     (["perturbed", "--grid-n", "32"], ("scipy.sparse",)),
-    (["sweep", "--kind", "covering", "--grid-n", "32", "--maps", MAPS], ("scipy.ndimage",)),
+    (["sweep", "--kind", "covering", "--grid-n", "32", "--maps", MAPS], ()),
 ])
 def test_command_loads_only_the_scipy_it_runs(argv, allowed):
     # ``allowed`` and their own dependencies are imported first; the command
@@ -571,13 +574,11 @@ def test_command_loads_only_the_scipy_it_runs(argv, allowed):
     assert proc.stdout.strip() == ""
 
 
-def test_certified_torus_cover_loads_only_scipy_ndimage():
-    # criterion 05's chain on a torus: the distance transform is the one
-    # scipy package a certified cover loads; min_gap needs no scipy.spatial
+def test_certified_torus_cover_loads_no_scipy():
+    # criterion 05's chain on a torus: neither the distance transform nor
+    # min_gap needs scipy
     code = (
-        "import sys, scipy.ndimage\n"
-        "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
-        "before = loaded()\n"
+        "import sys\n"
         "from oscillab.domain import Ball, Box, Grid\n"
         "from oscillab.maps import make_shear\n"
         "from oscillab.whitney import check_cover_invariants, image_mask, whitney_decompose\n"
@@ -586,12 +587,29 @@ def test_certified_torus_cover_loads_only_scipy_ndimage():
         "mask = image_mask(make_shear(1.0), ball, grid)\n"
         "cover = whitney_decompose(mask, source_ball=ball)\n"
         "assert check_cover_invariants(cover, mask)['min_gap'] > 0\n"
-        "print(' '.join(sorted(loaded() - before)))"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     )
     src = str(Path(oscillab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == ""
+
+
+def test_scipy_sparse_is_the_only_scipy_the_package_imports():
+    # every other scipy subpackage costs import time and RSS that numpy
+    # alone avoids (scipy.ndimage about 27 MB, scipy.optimize about 49 MB)
+    found = set()
+    for path in sorted(Path(oscillab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found |= {(path.stem, ".".join(name.split(".")[:2]))
+                      for name in names if name.split(".")[0] == "scipy"}
+    assert {name for _, name in found} == {"scipy.sparse"}, sorted(found)
 
 
 # imported names that their module keeps on purpose: perfbench's tracer reads
@@ -635,6 +653,16 @@ TINY_TORUS = ["seminorm", "--f", "checker", "--grid-n", "32", "--periodic", "--b
 def test_box_whose_cell_area_underflows_is_refused(side):
     # h^2 is subnormal or 0: refused before any family is built
     proc = _run_bounded(TINY_TORUS + ["--box-side", side])
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_huge_trig_mode_count_is_refused_before_sampling():
+    # 1e8 modes asked for 763 MiB of coefficients and ended in a traceback
+    proc = _run_bounded(["sweep", "--kind", "bmo-composition", "--functions",
+                         "trig:modes=100000000", "--maps", "strain:t=1", "--grid-n", "32",
+                         "--stride", "4"])
     assert proc.returncode == 2 and proc.stdout == ""
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")

@@ -21,6 +21,7 @@ from oscillab.domain import (
     distance_transform,
     interpolate,
     points_in_ball,
+    _edt,
 )
 from oscillab.cli import default_radii
 from oscillab.errors import BadRadius, DegenerateMask, EmptyBall, EmptyFamily
@@ -250,26 +251,46 @@ def _brute_force_distance(mask):
 @pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("d,n", [(1, 8), (1, 64), (2, 8), (2, 32), (3, 8), (3, 16)])
 def test_distance_transform_matches_brute_force(d, n, periodic):
-    box = Box((0.0,) * d, 1.0, periodic) if periodic else Box((-1.0,) * d, 2.0)
-    g = Grid(box, n)
-    rng = np.random.default_rng([d, n, periodic])
-    for inside in (0.5, 0.9, 0.99):
-        bits = rng.random(g.size) < inside
-        bits[:2] = (True, False)  # neither empty nor full
-        mask = PixelMask(g, bits)
-        assert np.array_equal(distance_transform(mask).dist, _brute_force_distance(mask))
+    # a dyadic side, where every sum of squares is exact, and two sides where
+    # rounding decides between displacements of equal integer length
+    for side in (1.0 if periodic else 2.0, 0.7, 1.7):
+        g = Grid(Box((0.0 if periodic else -1.0,) * d, side, periodic), n)
+        rng = np.random.default_rng([d, n, periodic])
+        for inside in (0.5, 0.9, 0.99):
+            bits = rng.random(g.size) < inside
+            bits[:2] = (True, False)  # neither empty nor full
+            mask = PixelMask(g, bits)
+            assert np.array_equal(distance_transform(mask).dist, _brute_force_distance(mask))
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (2, 256), (3, 16)])
+def test_distance_transform_matches_scipy_on_dyadic_grids(d, n, periodic):
+    # on a dyadic side every (h k)^2 and every sum of them is exact, so
+    # scipy's transform of the whole grid (wrap-padded by half a period on a
+    # torus) gives the same floats
+    from scipy.ndimage import distance_transform_edt
+
+    rng = np.random.default_rng([d, n, periodic, 1])
+    pad = n // 2 if periodic else 0
+    for side, lower in ((1.0, 0.0), (0.25, -3.0), (8.0, 5.5)):
+        g = Grid(Box((lower,) * d, side, periodic), n)
+        for inside in (0.5, 0.95, 0.999):
+            bits = rng.random((n,) * d) < inside
+            bits.flat[:2] = (True, False)  # neither empty nor full
+            full = distance_transform_edt(np.pad(bits, pad, mode="wrap"), sampling=g.h)
+            want = full[(slice(pad, pad + n),) * d].ravel()
+            got = distance_transform(PixelMask(g, bits)).dist
+            assert got.tobytes() == want.tobytes()
 
 
 def _edt_on_whole_grid(mask):
-    """scipy's transform on the whole window, or on the torus grid
+    """The package's transform of the whole window, or of the torus grid
     wrap-padded by half a period per side."""
-    from scipy.ndimage import distance_transform_edt
-
     g = mask.grid
     pad = g.n // 2 if g.box.periodic else 0
     bits = np.pad(mask.bits.reshape((g.n,) * g.d), pad, mode="wrap")
-    dist = distance_transform_edt(bits, sampling=g.h)
-    return dist[(slice(pad, pad + g.n),) * g.d].ravel()
+    return _edt(bits, g.h, pad).ravel()
 
 
 @st.composite

@@ -291,16 +291,17 @@ def _sawtooth(y):
 
 
 def _edt_shapes(monkeypatch) -> list:
-    """Shapes of the arrays handed to scipy's distance transform from now on."""
-    import scipy.ndimage
+    """Shapes of the arrays handed to the package's distance transform from
+    now on."""
+    import oscillab.domain
 
-    shapes, edt = [], scipy.ndimage.distance_transform_edt
+    shapes, edt = [], oscillab.domain._edt
 
-    def spy(bits, **kwargs):
+    def spy(bits, *args):
         shapes.append(bits.shape)
-        return edt(bits, **kwargs)
+        return edt(bits, *args)
 
-    monkeypatch.setattr(scipy.ndimage, "distance_transform_edt", spy)
+    monkeypatch.setattr(oscillab.domain, "_edt", spy)
     return shapes
 
 
