@@ -22,7 +22,7 @@ from .domain import (
     Sup,
     cells_in_ball,
     interpolate,
-    points_in_ball,
+    preimage_in_ball,
 )
 from .errors import HeightExceeded, NonPeriodic
 from .maps import BiLipMap, require_torus_map
@@ -167,8 +167,7 @@ def pullback_set_mass(mu: CarlesonDensity, phi: BiLipMap, ball: Ball) -> float:
     rasterization because the map preserves measure.
     """
     w = shell_weight(mu, ball.radius)
-    pre = phi.inverse(mu.grid.cell_centers())
-    return float(w[points_in_ball(mu.grid.box, pre, ball.center, ball.radius)].sum())
+    return float(w[preimage_in_ball(mu.grid, phi.inverse, ball)].sum())
 
 
 def sc_class_check(mu: CarlesonDensity, family) -> bool:

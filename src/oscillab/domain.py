@@ -95,13 +95,17 @@ class Grid:
         """Cell-center coordinates along one axis, offset by the axis lower bound."""
         return (np.arange(self.n) + 0.5) * self.h
 
-    def cell_centers(self) -> np.ndarray:
-        """All cell centers as an (n^d, d) array, C-ordered over axis indices."""
+    def cell_centers(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The centers of the cells whose first axis index is in lo..hi-1 (all
+        cells by default) as a ((hi - lo) n^(d-1), d) array, C-ordered over
+        axis indices: rows lo n^(d-1) to hi n^(d-1) - 1 of the whole array."""
         n, d = self.n, self.d
+        hi = n if hi is None else hi
         axis = self.axis_centers()
-        out = np.empty((n,) * d + (d,))
+        out = np.empty((hi - lo,) + (n,) * (d - 1) + (d,))
         for k in range(d):
-            out[..., k] = (self.box.lower[k] + axis).reshape((n,) + (1,) * (d - 1 - k))
+            vals = self.box.lower[k] + (axis[lo:hi] if k == 0 else axis)
+            out[..., k] = vals.reshape((-1,) + (1,) * (d - 1 - k))
         return out.reshape(-1, d)
 
     def flat_index(self, idx: tuple) -> np.ndarray:
@@ -295,6 +299,33 @@ def ball_oscillation(f: GridFunction, ball: Ball, p: float = 1.0) -> float:
 # cells in a distance transform), so the working set of a reduction does not
 # grow with its input.
 _BLOCK_CELLS = 1 << 16
+
+# Rows of one block of points that a map or field carries at a time (RK4
+# steps, preimages of cell centers), so a block's buffers and stage values
+# stay in a per-core L2 cache. 50 strain steps over 65,536 points (2-core
+# Xeon, 2 MB L2 per core) took 41-44 ms in blocks of 8,192 points, 49-70 ms
+# in blocks of 16,384, 70-73 ms in one block and 90 ms in the unblocked form
+# that allocates every stage.
+_BLOCK_POINTS = _BLOCK_CELLS // 8
+
+
+def preimage_in_ball(grid: Grid, inverse, ball: Ball) -> np.ndarray:
+    """Whether ``inverse`` of each cell center lies in the closed ball (by
+    the wrapped displacement on a torus): with ``inverse`` = phi^-1, the
+    cells of phi(B). The centers go through ``inverse`` and
+    ``points_in_ball`` in blocks of whole slabs along the first axis, about
+    ``_BLOCK_POINTS`` rows each, built by ``Grid.cell_centers``, so no
+    temporary holds more than a block; ``inverse`` must map each row on its
+    own.
+    """
+    out = np.empty(grid.size, dtype=bool)
+    slab = grid.size // grid.n
+    rows = max(1, _BLOCK_POINTS // slab)
+    for lo in range(0, grid.n, rows):
+        hi = min(lo + rows, grid.n)
+        pre = inverse(grid.cell_centers(lo, hi))
+        out[lo * slab : hi * slab] = points_in_ball(grid.box, pre, ball.center, ball.radius)
+    return out
 
 
 def distance_transform(mask: PixelMask) -> DistanceField:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _BLOCK_CELLS, Ball, Box, Grid, cells_in_ball, points_in_ball
+from .domain import _BLOCK_POINTS, Ball, Box, Grid, cells_in_ball, preimage_in_ball
 from .errors import BadParameter, NotTorusMap, StepTooLarge, ViolatedBound
 
 # central-difference step prefactor: 10 * eps^(1/3), standard for first derivatives
@@ -250,21 +250,13 @@ def cellular_field(amplitude: float = 1.0, wavenumber: int = 1) -> VectorField:
     return VectorField(f"cellular(A={amplitude:g},k={wavenumber})", fn, amplitude * w * w)
 
 
-# RK4 carries this many points at a time through all its steps, so a
-# block's buffers and stage values stay in a per-core L2 cache. 50 strain
-# steps over 65,536 points (2-core Xeon, 2 MB L2 per core) took 41-44 ms in
-# blocks of 8,192 points, 49-70 ms in blocks of 16,384, 70-73 ms in one
-# block and 90 ms in the unblocked form that allocates every stage.
-_RK4_POINTS = _BLOCK_CELLS // 8
-
-
 def _rk4(fn, x: np.ndarray, t_total: float, step: float) -> np.ndarray:
     """Classical 4th-order integration of dx/dt = fn(x) over t_total, from
     the (N, d) points ``x``; a negative t_total integrates backward.
 
     ``fn`` maps each row on its own and returns a new array (or its
     argument, which is never overwritten while its value is still needed).
-    The points go in blocks of ``_RK4_POINTS`` rows, each carried through
+    The points go in blocks of ``_BLOCK_POINTS`` rows, each carried through
     every step in buffers of its own; the stages are written in place in
     the order ``y + (dt/2) k``, ``((k1 + 2 k2) + 2 k3) + k4`` and ``y +
     (dt/6) acc``, so the feet do not depend on the block length. IEEE
@@ -277,8 +269,8 @@ def _rk4(fn, x: np.ndarray, t_total: float, step: float) -> np.ndarray:
     dt = t_total / nsteps
     half, sixth = 0.5 * dt, dt / 6.0
     out = np.empty(x.shape)
-    for lo in range(0, len(x), _RK4_POINTS):
-        y = x[lo : lo + _RK4_POINTS].astype(float)
+    for lo in range(0, len(x), _BLOCK_POINTS):
+        y = x[lo : lo + _BLOCK_POINTS].astype(float)
         # 2 k3 takes a buffer of its own: k3 may be the stage buffer itself
         stage, acc, twice = np.empty_like(y), np.empty_like(y), np.empty_like(y)
         for _ in range(nsteps):
@@ -292,7 +284,7 @@ def _rk4(fn, x: np.ndarray, t_total: float, step: float) -> np.ndarray:
             np.add(y, np.multiply(k3, dt, out=stage), out=stage)
             np.add(acc, fn(stage), out=acc)
             np.add(y, np.multiply(acc, sixth, out=acc), out=y)
-        out[lo : lo + _RK4_POINTS] = y
+        out[lo : lo + _BLOCK_POINTS] = y
     return out
 
 
@@ -414,8 +406,7 @@ def check_measure_preserving(
     if test_ball is None:
         test_ball = Ball(tuple(grid.box.center), grid.box.side / 4.0)
     direct = len(cells_in_ball(grid, test_ball))
-    pre = phi.inverse(centers)
-    pulled = int(points_in_ball(grid.box, pre, test_ball.center, test_ball.radius).sum())
+    pulled = int(preimage_in_ball(grid, phi.inverse, test_ball).sum())
     mass_err = abs(pulled - direct) / max(direct, 1)
     return MeasureReport(max_det_err, float(mass_err))
 

@@ -7,6 +7,12 @@ accepted cube contributes its (slightly shrunken) inscribed ball, so the
 balls are strictly disjoint while the doubled balls still cover every cell
 of the set.
 
+The work follows the image, which holds |B| of mass however large the
+grid: the mask is rasterized through phi^-1 in blocks of cell centers, and
+the subdivision runs only over the mask's bounding box, widened to whole
+blocks of the largest cube that can fit in it; both give the bits of a
+whole-grid pass.
+
 A cover holds its balls as arrays of centers and radii and builds a
 ``Ball`` only when one is asked for. Its radii are dyadic, about log2(n)
 distinct values, so the covering statistic and the shell histogram compute
@@ -33,7 +39,7 @@ from .domain import (
     cells_in_ball,  # noqa: F401  (perfbench's tracer wraps whitney.cells_in_ball)
     distance_transform,
     interpolate,
-    points_in_ball,
+    preimage_in_ball,
     unit_ball_volume,
 )
 from .errors import BadParameter, DegenerateMask, OutOfDomain, RadiusViolation
@@ -52,9 +58,10 @@ def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
     forward point-dumping would. On a periodic box phi must be a map of the
     torus (``maps.require_torus_map``, as in ``compose`` and ``pullback``;
     NotTorusMap otherwise): membership there counts every periodic copy of B.
+    Both hypotheses are checked before any center is mapped; the centers
+    then go through phi^-1 in blocks (``domain.preimage_in_ball``), so the
+    pass holds no grid-sized array but the mask itself.
     """
-    centers = grid.cell_centers()
-    pre = phi.inverse(centers)
     if grid.box.periodic:
         require_torus_map(phi, grid)
     else:
@@ -64,7 +71,7 @@ def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
         fwd_center = phi.forward(np.asarray(ball.center))
         if not grid.box.contains(fwd_center[None, :])[0]:
             raise OutOfDomain("mapped ball center leaves the window")
-    return PixelMask(grid, points_in_ball(grid.box, pre, ball.center, ball.radius))
+    return PixelMask(grid, preimage_in_ball(grid, phi.inverse, ball))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,24 +101,38 @@ def _accepted_cubes(bits2d: np.ndarray, dist2d: np.ndarray, h: float) -> np.ndar
     """The (i0, j0, m) cubes of the stopping-time quadtree, as rows in
     ascending (i0, j0, m) order.
 
-    One numpy pass per level m = n, n/2, ..., 1 over the blocks that the
-    level above split, read from 2x2-pooled pyramids of the mask (any, all)
-    and of the distance field (min). A block is accepted when it lies inside
-    the set and, for m > 1, its distance to the complement less a cell
-    diagonal is at least its own diagonal; it is split when it meets the set
-    and is not accepted.
+    A block is accepted when it lies inside the set and, for m > 1, its
+    distance to the complement less a cell diagonal is at least its own
+    diagonal; it is split when it meets the set and is not accepted. No
+    block wider than ``top``, the largest power of two no longer than the
+    shorter side of the set's bounding box, lies inside the set, so every
+    such block that meets the set is split, and the top-level blocks that
+    meet the set are all active. So the pass runs only over the bounding
+    box widened to whole blocks of side ``top``: one numpy pass per level
+    m = top, top/2, ..., 1, read from 2x2-pooled pyramids of the mask (any,
+    all) and of the distance field (min) over that region. It gives the
+    cubes of the whole-grid pass from m = n down, and none for an empty set.
     """
+    rows, cols = np.flatnonzero(bits2d.any(axis=1)), np.flatnonzero(bits2d.any(axis=0))
+    if len(rows) == 0:
+        return np.empty((0, 3), dtype=np.intp)
+    side = int(min(rows[-1] - rows[0], cols[-1] - cols[0])) + 1
+    top = 1 << (side.bit_length() - 1)
+    i0, j0 = rows[0] // top * top, cols[0] // top * top
+    i1, j1 = (rows[-1] // top + 1) * top, (cols[-1] // top + 1) * top
+    region = np.s_[i0:i1, j0:j1]
+
     def pool(levels, ufunc):
         a = levels[-1]
         levels.append(ufunc.reduce((a[::2, ::2], a[1::2, ::2], a[::2, 1::2], a[1::2, 1::2])))
 
-    anys, alls, mins = [bits2d], [bits2d], [dist2d]
-    while len(anys[-1]) > 1:
+    anys, alls, mins = [bits2d[region]], [bits2d[region]], [dist2d[region]]
+    while len(anys) < top.bit_length():
         pool(anys, np.logical_or)
         pool(alls, np.logical_and)
         pool(mins, np.minimum)
     found = []
-    active = np.ones((1, 1), dtype=bool)
+    active = np.ones(anys[-1].shape, dtype=bool)
     for level in range(len(anys) - 1, -1, -1):
         m = 1 << level
         accept = active & alls[level]
@@ -119,7 +140,7 @@ def _accepted_cubes(bits2d: np.ndarray, dist2d: np.ndarray, h: float) -> np.ndar
             diam = m * h * math.sqrt(2.0)
             accept &= mins[level] - h * math.sqrt(2.0) >= diam
         i, j = np.nonzero(accept)
-        found.append(np.stack([i * m, j * m, np.full_like(i, m)], axis=1))
+        found.append(np.stack([i0 + i * m, j0 + j * m, np.full_like(i, m)], axis=1))
         active = (active & anys[level] & ~accept).repeat(2, axis=0).repeat(2, axis=1)
     cubes = np.concatenate(found)
     return cubes[np.lexsort(cubes.T[::-1])]
@@ -128,11 +149,12 @@ def _accepted_cubes(bits2d: np.ndarray, dist2d: np.ndarray, h: float) -> np.ndar
 def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") -> WhitneyCover:
     """Dyadic Whitney cover of a 2-D pixel mask.
 
-    Top-down quadtree (``_accepted_cubes``), one numpy pass per level: a
-    cube is accepted when it sits inside the set and its (conservatively
-    measured) distance to the complement is at least its diameter; single
-    in-set cells are accepted unconditionally, so every set cell belongs to
-    some cube and the doubled inscribed balls cover the set exactly.
+    Top-down quadtree (``_accepted_cubes``) over the mask's bounding box,
+    one numpy pass per level: a cube is accepted when it sits inside the
+    set and its (conservatively measured) distance to the complement is at
+    least its diameter; single in-set cells are accepted unconditionally,
+    so every set cell belongs to some cube and the doubled inscribed balls
+    cover the set exactly.
     """
     grid = mask.grid
     if grid.d != 2:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab.domain import (
+    _BLOCK_POINTS,
     Ball,
     BallFamily,
     Box,
@@ -343,6 +344,19 @@ def test_cell_centers_match_meshgrid():
         want = np.stack([m.ravel() for m in mesh], axis=-1)
         got = g.cell_centers()
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("box, n", [(WINDOW, 64), (WINDOW, 128), (WINDOW, 256), (TORUS, 64),
+                                    (TORUS, 128), (TORUS, 256), (Box((0.1,), 1.7), 1 << 14),
+                                    (Box((0.1, -0.3, 7.0), 1.7), 32)])
+def test_slab_centers_concatenate_to_cell_centers(box, n):
+    # slabs of rows along the first axis, as the rasterizer takes them, and
+    # slabs of one and of three rows
+    g = Grid(box, n)
+    full = g.cell_centers()
+    for rows in (max(1, _BLOCK_POINTS * n // g.size), 1, 3):
+        got = np.concatenate([g.cell_centers(lo, min(lo + rows, n)) for lo in range(0, n, rows)])
+        assert got.shape == full.shape and got.tobytes() == full.tobytes()
 
 
 def test_distance_transform_degenerate():

@@ -215,7 +215,7 @@ def test_blocked_rk4_matches_unblocked_reference(name, rows, blocks, t, step, se
     want = {t: _rk4_reference(v, x, t, step), -t: _rk4_reference(lambda y: -v(y), x, t, step)}
     for points in (rows, len(x)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(maps, "_RK4_POINTS", points)
+            mp.setattr(maps, "_BLOCK_POINTS", points)
             for signed in (t, -t):
                 got = maps._rk4(v, x, signed, step)
                 assert got.shape == x.shape and got.tobytes() == want[signed].tobytes()

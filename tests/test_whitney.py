@@ -1,6 +1,7 @@
 """Whitney covers of mapped balls and the covering-lemma statistic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscillab import whitney
-from oscillab.domain import Ball, Box, Grid, PixelMask, cells_in_ball, distance_transform
-from oscillab.errors import BadParameter, NotTorusMap, RadiusViolation
+from oscillab.cli import parse_map
+from oscillab.domain import (
+    _BLOCK_POINTS,
+    Ball,
+    Box,
+    Grid,
+    PixelMask,
+    cells_in_ball,
+    distance_transform,
+    points_in_ball,
+    preimage_in_ball,
+)
+from oscillab.errors import BadParameter, NotTorusMap, OutOfDomain, RadiusViolation
 from oscillab.maps import (
     compose_maps,
     make_hat_twist,
@@ -430,6 +442,122 @@ def test_whitney_engine_matches_recursive_reference(kind, n, size, cx, cy, r):
     assert inv["min_gap"] == _brute_min_gap(cover, g.box)
     assert inv["min_gap"] > 0.0
     assert cover.uncovered_fraction == 0.0
+
+
+def _crop_case_bits(case, n):
+    """An n x n mask whose bounding box sits where ``case`` says."""
+    bits = np.zeros((n, n), dtype=bool)
+    half = n // 2
+    if case == "corner-cell":
+        bits[n - 1, 0] = True
+    elif case == "center-cell":
+        bits[half, half] = True
+    elif case == "row-strip":
+        bits[half + 1, 3 : n - 5] = True
+    elif case == "column-strip":
+        bits[:, 7] = True
+    elif case == "all-four-edges":
+        bits[half - 4 : half + 4, :] = True
+        bits[:, 2:12] = True
+    elif case == "straddles-middle":
+        # 6 rows (not a power of two) across row n/2, less one corner cell
+        bits[half - 3 : half + 3, 9:46] = True
+        bits[half - 3, 9] = False
+    elif case == "all-but-one":
+        bits[:] = True
+        bits[n // 3, 2 * n // 3] = False
+    return bits
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("case", ["empty", "corner-cell", "center-cell", "row-strip",
+                                  "column-strip", "all-four-edges", "straddles-middle",
+                                  "all-but-one", "torus-seam"])
+def test_cropped_quadtree_matches_whole_grid_reference(case, n):
+    # _accepted_cubes runs over the mask's bounding box widened to whole
+    # blocks of its largest possible cube; the recursive scan runs over the
+    # whole grid from m = n
+    if case == "torus-seam":
+        g = Grid(TORUS, n)
+        mask = image_mask(make_shear(2.0), Ball((0.05, 0.5), 0.2), g)
+        bits2d = mask.bits.reshape(n, n)
+        assert bits2d[0].any() and bits2d[-1].any()  # first axis crosses the seam
+    else:
+        g = Grid(BIG, n)
+        bits2d = _crop_case_bits(case, n)
+        mask = PixelMask(g, bits2d)
+    dist2d = (distance_transform(mask).dist if mask.count else np.zeros(g.size)).reshape(n, n)
+    ref: list = []
+    _subdivide(bits2d, dist2d, g.h, 0, 0, n, ref)
+    want = np.array(sorted(ref), dtype=np.intp).reshape(-1, 3)
+    got = _accepted_cubes(bits2d, dist2d, g.h)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+_RASTER_MAPS = {
+    "strain": lambda: make_linear_strain(1.3),
+    "shear": lambda: make_shear(2.5),
+    "twist": lambda: make_hat_twist(3.0),
+    "sawtooth-shear": lambda: make_shear(math.exp(1.5) - math.exp(-1.5), _sawtooth),
+}
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("name", sorted(_RASTER_MAPS))
+def test_blocked_rasterization_matches_whole_grid(name, periodic, n):
+    # n = 64, 128 and 256 hold one partial block, two blocks and eight
+    # blocks of cell centers
+    box = TORUS if periodic else Box((-1.0, -1.0), 2.0)
+    g = Grid(box, n)
+    ball = Ball(tuple(box.center + 0.1), box.side / 8.0)
+    phi = _RASTER_MAPS[name]()
+    want = points_in_ball(box, phi.inverse(g.cell_centers()), ball.center, ball.radius)
+    seen = []
+
+    def inverse(x):
+        seen.append(len(x))
+        return phi.inverse(x)
+
+    got = preimage_in_ball(g, inverse, ball)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert seen == [min(_BLOCK_POINTS, g.size - lo) for lo in range(0, g.size, _BLOCK_POINTS)]
+    if not periodic or name == "sawtooth-shear":  # image_mask takes torus maps only
+        assert image_mask(phi, ball, g).bits.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_image_mask_refuses_before_rasterizing(periodic, monkeypatch):
+    # exit-2 errors: a map that is not a torus map, and a ball whose mapped
+    # center leaves the window, are refused before any block is mapped
+    def fail(*args):
+        raise AssertionError("a block was rasterized")
+
+    monkeypatch.setattr(whitney, "preimage_in_ball", fail)
+    if periodic:
+        with pytest.raises(NotTorusMap):
+            image_mask(make_linear_strain(0.5), Ball((0.5, 0.5), 0.125), Grid(TORUS, 64))
+    else:
+        with pytest.raises(OutOfDomain):
+            image_mask(make_shear(5.0), Ball((0.0, 0.5), 0.25), Grid(Box((-1.0, -1.0), 2.0), 64))
+
+
+def test_image_mask_memory_is_blocked():
+    # twist:alpha=3 on the command line's default window at n = 512: the
+    # whole-grid pass held its centers and preimages (4 MB each) and peaked
+    # at about 24 MB; the blocked pass holds the mask and one block
+    g = Grid(Box((-1.0, -1.0), 2.0), 512)
+    ball = Ball((0.0, 0.0), 0.25)
+    phi = parse_map("twist:alpha=3")
+    tracemalloc.start()
+    try:
+        mask = image_mask(phi, ball, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.count > 0
+    assert peak < 2 * 2**20
 
 
 def _loop_covering_statistic(cover, a=0.0, p=1.0):
