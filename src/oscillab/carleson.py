@@ -119,10 +119,9 @@ def carleson_norm(mu: CarlesonDensity, family) -> Sup:
     # every ball would fail at
     for k in np.argsort(first):
         w[k] = shell_weight(mu, float(radii[k]))
-    fields = dict(zip(radii.tolist(), w))
 
-    def rows(ball: Ball, idx: np.ndarray) -> np.ndarray:
-        return fields[ball.radius][idx].sum(axis=1) / ball.volume
+    def rows(balls: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return w[which[balls[0]]][idx].sum(axis=1) / family.volumes[balls[0]]
 
     mass = family.ball_sums(w, which)
     slack = family.sum_slack
@@ -140,8 +139,7 @@ def pullback(mu: CarlesonDensity, phi: BiLipMap) -> CarlesonDensity:
     gridded ones are interpolated per shell and read zero at points leaving
     the window.
     """
-    if mu.grid.box.periodic:
-        require_torus_map(phi, mu.grid)
+    require_torus_map(phi, mu.grid)
     pts = phi.forward(mu.grid.cell_centers())
     if mu.beta is not None:
         new_beta = lambda t, q, b=mu.beta: np.asarray(b(t, phi.forward(np.asarray(q))))

@@ -542,8 +542,9 @@ def _add(p, names: str) -> None:
         p.add_argument(name, **_OPTIONS.get(name, {}))
 
 
+@functools.cache
 def _parser() -> _Parser:
-    """The command line; each subcommand takes exactly the options it reads."""
+    """The command line, built once; each subcommand takes exactly the options it reads."""
     parser = _Parser(prog="oscillab")
     sub = parser.add_subparsers(dest="command", required=True)
 

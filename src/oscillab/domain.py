@@ -215,14 +215,6 @@ class PixelMask:
         return int(self.bits.sum())
 
 
-@dataclass(frozen=True)
-class DistanceField:
-    """Distance of each cell center to the mask complement (0 on complement)."""
-
-    grid: Grid
-    dist: np.ndarray
-
-
 def _lattice(grid: Grid, centers, radii) -> tuple:
     """Per ball of the (k, d) ``centers`` and (k,) ``radii``: the nearest cell,
     the center's offset from that cell's center in cells (rounded to 1e-12,
@@ -328,8 +320,9 @@ def preimage_in_ball(grid: Grid, inverse, ball: Ball) -> np.ndarray:
     return out
 
 
-def distance_transform(mask: PixelMask) -> DistanceField:
-    """Exact Euclidean distance of each cell center to the mask complement.
+def distance_transform(mask: PixelMask) -> GridFunction:
+    """Exact Euclidean distance of each cell center to the mask complement, as a
+    finite ``GridFunction``: the transform sees each nearest complement cell (below).
 
     Each mask cell gets sqrt of the float minimum, over the complement cells,
     of the sum of (h * disp_k)^2 over the axes in order, disp the cell
@@ -380,12 +373,12 @@ def distance_transform(mask: PixelMask) -> DistanceField:
     if grid.box.periodic:
         reach = (count / unit_ball_volume(d)) ** (1.0 / d) + math.sqrt(d) / 2
         pad = min(n // 2, math.ceil(reach))
-        return DistanceField(grid, _edt(np.pad(bits, pad, mode="wrap"), grid.h, pad).ravel())
+        return GridFunction(grid, _edt(np.pad(bits, pad, mode="wrap"), grid.h, pad))
     rows = [np.flatnonzero(bits.any(axis=tuple(j for j in range(d) if j != k))) for k in range(d)]
     support = tuple(slice(max(r[0] - 1, 0), min(r[-1] + 2, n)) for r in rows)
     dist = np.zeros((n,) * d)
     dist[support] = _edt(bits[support], grid.h, 0)
-    return DistanceField(grid, dist.ravel())
+    return GridFunction(grid, dist)
 
 
 def _edt(bits: np.ndarray, h: float, pad: int) -> np.ndarray:
@@ -531,16 +524,13 @@ class BallFamily(Balls):
             # cells_in_ball clips the cells it searches (lo..hi from the
             # center cell, per axis) to the grid; such a ball is no translate
             alone = np.any((cells + lo < 0) | (cells + hi > n - 1), axis=1)
-        # A group is ranked by its first ball, and keeps its balls in family order.
-        rank = np.arange(len(radii))
-        shared = np.flatnonzero(~alone)
-        if len(shared):
-            keys = np.column_stack([radii, delta])[shared]
-            # each key row as one opaque value; delta holds no -0.0, so equal
-            # keys have equal bytes
-            rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-            _, head, key = np.unique(rows, return_index=True, return_inverse=True)
-            rank[shared] = shared[head][key]
+        # One key row per ball, (radius, delta, own position if alone else
+        # -1), as one opaque value (delta holds no -0.0). A group is ranked by
+        # its first ball, and keeps its balls in family order.
+        keys = np.column_stack([radii, delta, np.where(alone, np.arange(len(radii)), -1)])
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, key = np.unique(rows, return_index=True, return_inverse=True)
+        rank = first[key]
         order = np.argsort(rank, kind="stable")
         self._strides = n ** np.arange(d - 1, -1, -1)
         self._groups = []
@@ -656,8 +646,9 @@ class BallFamily(Balls):
 
     def sup(self, rows, bound) -> Sup:
         """Largest value over the family and the first ball (in family order)
-        that attains it; ``rows(ball, idx)`` returns the values of the balls
-        whose cells ``idx`` holds, one row each, all of the radius of ``ball``.
+        that attains it; ``rows(balls, idx)`` returns the values of the balls
+        at the family positions ``balls``, all of one group (one radius),
+        whose cells ``idx`` holds, one row each.
 
         ``bound`` holds an upper bound on each ball's value as ``rows``
         computes it, in family order; ``seminorm`` and ``carleson_norm``
@@ -673,7 +664,7 @@ class BallFamily(Balls):
         select[[g.members[np.argmax(bound[g.members])] for g in self._groups]] = True
         for _ in range(2):
             for balls, idx in self.blocks(select):
-                vals[balls] = rows(self[balls[0]], idx)
+                vals[balls] = rows(balls, idx)
             # then the balls not yet gathered whose bound reaches the best value
             select = (bound >= vals.max()) & np.isneginf(vals)
         k = int(np.argmax(vals))

@@ -174,12 +174,15 @@ def _fit_exp(x, y):
     return FitResult("exp", (c0, gamma), rms_relative(c0 * np.exp(gamma * x), y))
 
 
+_FITS = {"log": _fit_log, "power": _fit_power, "affine": _fit_affine, "exp": _fit_exp}
+
+
 def fit_models(points, models=("log", "power", "affine", "exp")) -> dict:
     """Fit the requested model families to (x, y) points; x strictly increasing.
 
-    Returns a dict model name -> FitResult; every model sees exactly the
-    same points. The power exponent is found by ``bounded_minimum`` on
-    [0.01, _EPS_MAX].
+    Returns a dict model name -> FitResult, in the order of ``models`` (each
+    a key of ``_FITS``); every model sees exactly the same points. The power
+    exponent is found by ``bounded_minimum`` on [0.01, _EPS_MAX].
     """
     pts = sorted((float(x), float(y)) for x, y in points)
     if len(pts) < 4:
@@ -189,13 +192,4 @@ def fit_models(points, models=("log", "power", "affine", "exp")) -> dict:
     repeated = x[1:][np.diff(x) <= 0]
     if len(repeated):
         raise RepeatedAbscissa(f"fit needs distinct x values, got x = {repeated[0]:g} twice")
-    out = {}
-    if "log" in models:
-        out["log"] = _fit_log(x, y)
-    if "power" in models:
-        out["power"] = _fit_power(x, y)
-    if "affine" in models:
-        out["affine"] = _fit_affine(x, y)
-    if "exp" in models:
-        out["exp"] = _fit_exp(x, y)
-    return out
+    return {m: _FITS[m](x, y) for m in models}

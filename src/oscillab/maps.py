@@ -436,16 +436,25 @@ def check_lip_inverse_bound(phi: BiLipMap, box: Box, samples: int = 1000, seed: 
     return True
 
 
-# every _TORUS_STRIDE-th cell center is sampled by the torus checks; a prime
-# stride spreads the sample over all rows of a power-of-two grid
+# the torus checks sample the cell centers at flat indices 0, 61, 122, ...; a
+# prime stride spreads the sample over all rows of a power-of-two grid
 _TORUS_STRIDE = 61
 
 
+def _torus_sample(grid: Grid) -> np.ndarray:
+    """``grid.cell_centers()[::_TORUS_STRIDE]`` bit for bit, by its arithmetic, built alone."""
+    cells = np.unravel_index(np.arange(0, grid.size, _TORUS_STRIDE), (grid.n,) * grid.d)
+    axis = grid.axis_centers()
+    return np.stack([low + axis[i] for low, i in zip(grid.box.lower, cells)], axis=1)
+
+
 def require_torus_map(phi: BiLipMap, grid: Grid) -> None:
-    """Raise NotTorusMap unless phi^-1(x + L e_k) - phi^-1(x) is a lattice
-    vector (to 1e-9 L) for every axis k on a strided sample of centers."""
+    """Raise NotTorusMap on a torus unless phi^-1(x + L e_k) - phi^-1(x) is a
+    lattice vector (to 1e-9 L) for every axis k on ``_torus_sample``."""
+    if not grid.box.periodic:
+        return
     side = grid.box.side
-    x = grid.cell_centers()[::_TORUS_STRIDE]
+    x = _torus_sample(grid)
     pre = phi.inverse(x)
     for k, period in enumerate(side * np.eye(grid.d)):
         q = (phi.inverse(x + period) - pre) / side
@@ -457,10 +466,12 @@ def require_torus_map(phi: BiLipMap, grid: Grid) -> None:
 
 
 def require_periodic_field(v: VectorField, grid: Grid) -> None:
-    """Raise NotTorusMap unless v(x + L e_k) = v(x) (to 1e-9 Lip L) for
-    every axis k on the sample of centers that ``require_torus_map`` takes:
-    only a periodic field flows the torus to itself."""
-    x = grid.cell_centers()[::_TORUS_STRIDE]
+    """Raise NotTorusMap on a torus unless v(x + L e_k) = v(x) (to 1e-9 Lip
+    L) for every axis k on ``_torus_sample``: only a periodic field flows
+    the torus to itself."""
+    if not grid.box.periodic:
+        return
+    x = _torus_sample(grid)
     vx = v(x)
     # a period moves a field by at most Lip L, whatever max|v| is where the
     # box sits; rounding x + L, and v's own argument, moves v by up to about

@@ -61,7 +61,7 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> Sup:
     inv_p = 1.0 / params.p
     scale = params.a / f.grid.d
 
-    def rows(ball: Ball, idx: np.ndarray) -> np.ndarray:
+    def rows(balls: np.ndarray, idx: np.ndarray) -> np.ndarray:
         dev = f.values[idx]
         dev -= dev.mean(axis=1, keepdims=True)
         np.abs(dev, out=dev)
@@ -72,7 +72,7 @@ def seminorm(f: GridFunction, params: OscillationParams, family) -> Sup:
         if params.p != 1:
             # the root as a scalar pow per ball: the array pow may differ by an ulp
             osc = np.array([m**inv_p for m in osc.tolist()])
-        return osc / ball.volume**scale
+        return osc / family.volumes[balls[0]] ** scale
 
     bound = _oscillation_bound(f, family, params.p) / family.volumes**scale
     return family.sup(rows, bound)
@@ -120,8 +120,7 @@ def compose(f: GridFunction, phi: BiLipMap) -> GridFunction:
     that leaves a non-periodic window raises OutOfDomain when f is
     interpolated, and a sample that is not finite raises BadParameter.
     """
-    if f.grid.box.periodic:
-        require_torus_map(phi, f.grid)
+    require_torus_map(phi, f.grid)
     pts = phi.forward(f.grid.cell_centers())
     vals = f.at(pts)
     finite = np.isfinite(vals)

@@ -60,8 +60,7 @@ def solve_transport(v: VectorField, u0: GridFunction, step: float, times) -> lis
     if step * v.lip > 0.1 and v.lip > 0:
         raise StepTooLarge(f"step {step} too large for Lipschitz constant {v.lip}")
     _check_times(times, max(times, default=0.0), step)
-    if grid.box.periodic:
-        require_periodic_field(v, grid)
+    require_periodic_field(v, grid)
     low = np.asarray(grid.box.lower)
     feet, now, out = grid.cell_centers(), 0.0, {}
     for t in sorted(set(times)):

@@ -38,7 +38,6 @@ from .domain import (
     PixelMask,
     cells_in_ball,  # noqa: F401  (perfbench's tracer wraps whitney.cells_in_ball)
     distance_transform,
-    interpolate,
     preimage_in_ball,
     unit_ball_volume,
 )
@@ -58,13 +57,13 @@ def image_mask(phi: BiLipMap, ball: Ball, grid: Grid) -> PixelMask:
     forward point-dumping would. On a periodic box phi must be a map of the
     torus (``maps.require_torus_map``, as in ``compose`` and ``pullback``;
     NotTorusMap otherwise): membership there counts every periodic copy of B.
-    Both hypotheses are checked before any center is mapped; the centers
-    then go through phi^-1 in blocks (``domain.preimage_in_ball``), so the
-    pass holds no grid-sized array but the mask itself.
+    Both hypotheses, the torus one on a 1-in-61 sample of centers, are
+    checked before any center is mapped; the centers then go through phi^-1
+    in blocks (``domain.preimage_in_ball``), so the pass holds no grid-sized
+    array but the mask itself, on a window as on a torus.
     """
-    if grid.box.periodic:
-        require_torus_map(phi, grid)
-    else:
+    require_torus_map(phi, grid)
+    if not grid.box.periodic:
         # the preimage samples themselves are fine; what must stay inside the
         # window is the set we rasterize, which is a subset of the grid by
         # construction. Guard instead that the ball image could fit at all.
@@ -163,13 +162,13 @@ def whitney_decompose(mask: PixelMask, source_ball: Ball, map_name: str = "") ->
         raise DegenerateMask("empty mask")
     dist = distance_transform(mask)
     bits2d = mask.bits.reshape(grid.n, grid.n)
-    dist2d = dist.dist.reshape(grid.n, grid.n)
+    dist2d = dist.values.reshape(grid.n, grid.n)
     h = grid.h
     cube = _accepted_cubes(bits2d, dist2d, h).astype(float)
     m = cube[:, 2:]
     centers = np.asarray(grid.box.lower) + (cube[:, :2] + m / 2.0) * h
     radii = _BALL_SHRINK * (m[:, 0] * h) / 2.0
-    ratios = 2.0 * radii / interpolate(grid, dist.dist, centers)
+    ratios = 2.0 * radii / dist.at(centers)
 
     covered = np.zeros(grid.size, dtype=bool)
     for _, idx in BallFamily(grid, centers, 2.0 * radii).blocks():

@@ -354,11 +354,11 @@ def test_criterion_10_numerical_infrastructure():
     rr = np.sqrt((cc**2).sum(axis=1))
     disk = PixelMask(g3, rr < 0.6)
     err_disk = np.abs(
-        distance_transform(disk).dist - np.maximum(0.6 - rr, 0.0)
+        distance_transform(disk).values - np.maximum(0.6 - rr, 0.0)
     )[disk.bits].max()
     half = PixelMask(g3, cc[:, 0] < 0.2)
     err_half = np.abs(
-        distance_transform(half).dist - np.maximum(0.2 - cc[:, 0], 0.0)
+        distance_transform(half).values - np.maximum(0.2 - cc[:, 0], 0.0)
     )[half.bits].max()
     edt_ok = max(err_disk, err_half) <= g3.h * math.sqrt(2)
 

@@ -632,6 +632,46 @@ def test_no_unused_import_in_the_package():
     assert unused == KEPT_IMPORTS
 
 
+def _defined_names(tree):
+    """The functions, classes and constants a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _used_names(tree):
+    """Every name a module reads: as a variable, an attribute, an import or
+    an identifier string (perfbench's tracer names what it wraps by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_nothing_defined_in_the_package_goes_unused():
+    # a top-level function, class or constant of the package must be named
+    # somewhere besides its own definition: in the package, its tests or perfbench
+    root = Path(oscillab.__file__).resolve().parents[2]
+    used = set()
+    for path in sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py")) \
+            + sorted((root / "perfbench").rglob("*.py")):
+        used |= set(_used_names(ast.parse(path.read_text())))
+    unused = {(path.stem, name)
+              for path in sorted(Path(oscillab.__file__).parent.glob("*.py"))
+              for name in _defined_names(ast.parse(path.read_text()))
+              if name not in used and not name.startswith("__")}
+    assert not unused, sorted(unused)
+
+
 def _run_bounded(argv, memory=1 << 30, timeout=20):
     """``python -m oscillab.cli argv`` in a subprocess whose address space is
     capped at ``memory`` bytes and that is killed after ``timeout`` seconds,

@@ -23,6 +23,7 @@ from oscillab.domain import (
     interpolate,
     points_in_ball,
     _edt,
+    _lattice,
 )
 from oscillab.cli import default_radii
 from oscillab.errors import BadRadius, DegenerateMask, EmptyBall, EmptyFamily
@@ -211,10 +212,10 @@ def test_distance_transform_disk():
     mask = PixelMask(g, rr < 0.6)
     df = distance_transform(mask)
     analytic = np.maximum(0.6 - rr, 0.0)
-    err = np.abs(df.dist - analytic)[mask.bits].max()
+    err = np.abs(df.values - analytic)[mask.bits].max()
     assert err <= g.h * math.sqrt(2)
     # complement cells carry zero distance
-    assert np.all(df.dist[~mask.bits] == 0.0)
+    assert np.all(df.values[~mask.bits] == 0.0)
 
 
 def test_distance_transform_half_plane():
@@ -223,7 +224,7 @@ def test_distance_transform_half_plane():
     mask = PixelMask(g, c[:, 0] < 0.2)
     df = distance_transform(mask)
     analytic = np.maximum(0.2 - c[:, 0], 0.0)
-    assert np.abs(df.dist - analytic)[mask.bits].max() <= g.h * math.sqrt(2)
+    assert np.abs(df.values - analytic)[mask.bits].max() <= g.h * math.sqrt(2)
 
 
 def test_distance_transform_periodic_band():
@@ -232,7 +233,7 @@ def test_distance_transform_periodic_band():
     mask = PixelMask(g, np.abs(c[:, 0] - 0.5) < 0.25)
     df = distance_transform(mask)
     analytic = np.maximum(0.25 - np.abs(c[:, 0] - 0.5), 0.0)
-    assert np.abs(df.dist - analytic)[mask.bits].max() <= g.h * math.sqrt(2)
+    assert np.abs(df.values - analytic)[mask.bits].max() <= g.h * math.sqrt(2)
 
 
 def _brute_force_distance(mask):
@@ -261,7 +262,7 @@ def test_distance_transform_matches_brute_force(d, n, periodic):
             bits = rng.random(g.size) < inside
             bits[:2] = (True, False)  # neither empty nor full
             mask = PixelMask(g, bits)
-            assert np.array_equal(distance_transform(mask).dist, _brute_force_distance(mask))
+            assert np.array_equal(distance_transform(mask).values, _brute_force_distance(mask))
 
 
 @pytest.mark.parametrize("periodic", [False, True])
@@ -281,7 +282,7 @@ def test_distance_transform_matches_scipy_on_dyadic_grids(d, n, periodic):
             bits.flat[:2] = (True, False)  # neither empty nor full
             full = distance_transform_edt(np.pad(bits, pad, mode="wrap"), sampling=g.h)
             want = full[(slice(pad, pad + n),) * d].ravel()
-            got = distance_transform(PixelMask(g, bits)).dist
+            got = distance_transform(PixelMask(g, bits)).values
             assert got.tobytes() == want.tobytes()
 
 
@@ -333,7 +334,7 @@ def test_distance_transform_matches_whole_grid_transform(mask):
     # the transform of the mask's support (window) or of the reduced wrap
     # pad (torus) equals the whole-grid one bit for bit
     want = _edt_on_whole_grid(mask)
-    assert distance_transform(mask).dist.tobytes() == want.tobytes()
+    assert distance_transform(mask).values.tobytes() == want.tobytes()
 
 
 def test_cell_centers_match_meshgrid():
@@ -438,6 +439,38 @@ def test_cells_in_ball_commutes_with_cell_moves(box):
         moved = Ball(low + (spot + move + 0.5) * h, r)
         np.testing.assert_array_equal(cells_in_ball(g, moved),
                                       _moved_cells(g, cells_in_ball(g, ball), move))
+
+
+@pytest.mark.parametrize("box", [WINDOW, TORUS], ids=["window", "torus"])
+def test_groups_are_lattice_translates_in_order_of_their_first_ball(box):
+    # a lattice family, balls on its lattice (cell centers, its radii), loose
+    # balls and balls by the edge, shuffled
+    g = Grid(box, 64)
+    low, h, n = np.asarray(box.lower), g.h, g.n
+    rng = np.random.default_rng(34)
+    lattice = ball_family(g, 8, [4 * h, 8 * h])
+    on = low + (rng.integers(0, n, (20, 2)) + 0.5) * h
+    loose = low + rng.uniform(0.0, box.side, (40, 2))
+    edge = low + np.column_stack([rng.uniform(0.0, 2 * h, 20), rng.uniform(0.0, box.side, 20)])
+    centers = np.concatenate([lattice.centers, on, loose, edge[:10], edge[10:, ::-1]])
+    radii = np.concatenate([lattice.radii, rng.choice([4 * h, 8 * h], 20),
+                            rng.choice([4 * h, 5.5 * h, 8 * h], 60)])
+    order = rng.permutation(len(radii))
+    centers, radii = centers[order], radii[order]
+    fam = BallFamily(g, centers, radii)
+    # a window ball whose searched cells leave the grid is clipped: a group of its own
+    cells, delta, lo, hi = _lattice(g, centers, radii)
+    clipped = np.any((cells + lo < 0) | (cells + hi > n - 1), axis=1) & (not box.periodic)
+    assert clipped.any() != box.periodic
+    want = {}
+    for k in range(len(radii)):
+        want.setdefault(k if clipped[k] else (radii[k], tuple(delta[k])), []).append(k)
+    # dicts keep insertion order: groups in the order of their first ball
+    assert [group.members.tolist() for group in fam._groups] == list(want.values())
+    assert len(fam._groups) < len(radii) - clipped.sum()
+    for group in fam._groups:
+        assert np.all(radii[group.members] == radii[group.members[0]])
+        assert np.all(delta[group.members] == delta[group.members[0]])
 
 
 @pytest.mark.parametrize("box", ODD_BOXES)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab.domain import Box, Grid
+from oscillab import maps
 from oscillab.errors import NotTorusMap, StepTooLarge, ViolatedBound
 from oscillab.maps import (
     VectorField,
@@ -28,6 +29,7 @@ from oscillab.maps import (
     make_stretch,
     make_translation,
     require_periodic_field,
+    require_torus_map,
     strain_field,
 )
 
@@ -158,6 +160,23 @@ def test_periodic_field_check_far_from_the_origin():
         require_periodic_field(cellular_field(0.01, 2), grid)
         with pytest.raises(NotTorusMap):
             require_periodic_field(strain_field(), grid)
+
+
+@pytest.mark.parametrize("box", [Box((0.0, 0.0), 1.0, periodic=True),
+                                 Box((-0.3, 0.7), 3.1, periodic=True),
+                                 Box((1e12, 1e12), 1.0, periodic=True)])
+def test_torus_checks_sample_only_their_sample(box, monkeypatch):
+    # the sample is the strided rows of cell_centers, bit for bit ...
+    for n in (8, 16, 32, 64, 128, 256, 512):
+        g = Grid(box, n)
+        assert maps._torus_sample(g).tobytes() == g.cell_centers()[::61].tobytes()
+    # ... built without them, and a window is not checked at all
+    monkeypatch.setattr(Grid, "cell_centers", None)
+    require_torus_map(make_rotation(0.0), g)
+    require_periodic_field(constant_field((0.5, 0.25)), g)
+    window = Grid(Box(box.lower, box.side), 64)
+    require_torus_map(make_hat_twist(3.0), window)
+    require_periodic_field(strain_field(), window)
 
 
 def test_twist_distortion_bounded():

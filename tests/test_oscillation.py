@@ -375,7 +375,8 @@ def test_pruned_seminorm_gathers_few_balls(monkeypatch):
     sup, gathered = BallFamily.sup, []
 
     def counting(self, rows, bound=None):
-        return sup(self, lambda ball, idx: (gathered.append(len(idx)), rows(ball, idx))[1], bound)
+        return sup(self, lambda balls, idx: (gathered.append(len(idx)), rows(balls, idx))[1],
+                   bound)
 
     monkeypatch.setattr(BallFamily, "sup", counting)
     for p in (1.0, 2.0):
@@ -385,6 +386,32 @@ def test_pruned_seminorm_gathers_few_balls(monkeypatch):
     gathered.clear()
     seminorm(f, OscillationParams(p=3.0), fam)
     assert sum(gathered) < 0.5 * len(fam)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_seminorm_rows_get_positions_of_one_radius(monkeypatch, periodic):
+    # sup hands rows the family positions of a block's balls, which share a
+    # radius, and one row of cells per ball
+    g = Grid(TORUS if periodic else WINDOW, 32)
+    radii = [4 * g.h, 6.5 * g.h, g.box.side / 4]
+    fam = ball_family(g, 2, radii)
+    f = GridFunction(g, np.random.default_rng(3).normal(size=g.size))
+    sup, calls = BallFamily.sup, []
+
+    def spying(self, rows, bound):
+        def spy(balls, idx):
+            calls.append((np.array(balls), idx))
+            return rows(balls, idx)
+        return sup(self, spy, bound)
+
+    monkeypatch.setattr(BallFamily, "sup", spying)
+    got = seminorm(f, OscillationParams(p=3.0, a=0.5), fam)
+    assert {fam.radii[balls[0]] for balls, _ in calls} == set(radii)
+    for balls, idx in calls:
+        assert balls.dtype.kind == "i" and len(idx) == len(balls)
+        assert np.all(fam.radii[balls] == fam.radii[balls[0]])
+        np.testing.assert_array_equal(idx[0], cells_in_ball(g, fam[balls[0]]))
+    assert got.argmax_ball in [fam[k] for balls, _ in calls for k in balls]
 
 
 @pytest.mark.parametrize("periodic", [False, True])

@@ -396,7 +396,7 @@ def test_cover_gathers_match_per_ball_loop():
             covered[cells_in_ball(g, Ball(b.center, 2.0 * b.radius))] = True
         assert cover.uncovered_fraction == float((mask.bits & ~covered).sum()) / mask.count
         # checked against its own mask and against one shrunk by three cells
-        shrunk = PixelMask(g, mask.bits & (distance_transform(mask).dist > 3 * g.h))
+        shrunk = PixelMask(g, mask.bits & (distance_transform(mask).values > 3 * g.h))
         for checked in (mask, shrunk):
             bad = sum(int((~checked.bits[cells_in_ball(g, b)]).sum()) for b in cover.balls)
             inv = check_cover_invariants(cover, checked)
@@ -434,7 +434,7 @@ def test_whitney_engine_matches_recursive_reference(kind, n, size, cx, cy, r):
     mask = image_mask(phi, ball, g)
     cover = whitney_decompose(mask, source_ball=ball, map_name=phi.name)
     bits2d = mask.bits.reshape(n, n)
-    dist2d = distance_transform(mask).dist.reshape(n, n)
+    dist2d = distance_transform(mask).values.reshape(n, n)
     ref: list = []
     _subdivide(bits2d, dist2d, g.h, 0, 0, n, ref)
     np.testing.assert_array_equal(_accepted_cubes(bits2d, dist2d, g.h), np.array(sorted(ref)))
@@ -486,7 +486,7 @@ def test_cropped_quadtree_matches_whole_grid_reference(case, n):
         g = Grid(BIG, n)
         bits2d = _crop_case_bits(case, n)
         mask = PixelMask(g, bits2d)
-    dist2d = (distance_transform(mask).dist if mask.count else np.zeros(g.size)).reshape(n, n)
+    dist2d = (distance_transform(mask).values if mask.count else np.zeros(g.size)).reshape(n, n)
     ref: list = []
     _subdivide(bits2d, dist2d, g.h, 0, 0, n, ref)
     want = np.array(sorted(ref), dtype=np.intp).reshape(-1, 3)
@@ -543,13 +543,17 @@ def test_image_mask_refuses_before_rasterizing(periodic, monkeypatch):
             image_mask(make_shear(5.0), Ball((0.0, 0.5), 0.25), Grid(Box((-1.0, -1.0), 2.0), 64))
 
 
-def test_image_mask_memory_is_blocked():
-    # twist:alpha=3 on the command line's default window at n = 512: the
-    # whole-grid pass held its centers and preimages (4 MB each) and peaked
-    # at about 24 MB; the blocked pass holds the mask and one block
-    g = Grid(Box((-1.0, -1.0), 2.0), 512)
-    ball = Ball((0.0, 0.0), 0.25)
-    phi = parse_map("twist:alpha=3")
+@pytest.mark.parametrize("box, spec, ball", [
+    (Box((-1.0, -1.0), 2.0), "twist:alpha=3", Ball((0.0, 0.0), 0.25)),
+    (TORUS, "shear:lambda=1", Ball((0.5, 0.5), 0.125)),
+], ids=["window", "torus"])
+def test_image_mask_memory_is_blocked(box, spec, ball):
+    # at n = 512, on the command line's default window: the whole-grid pass
+    # held its centers and preimages (4 MB each) and peaked at about 24 MB;
+    # on the unit torus: the torus check built all centers to keep 1 in 61
+    # and peaked at 4.3 MB. The blocked pass holds the mask and one block
+    g = Grid(box, 512)
+    phi = parse_map(spec)
     tracemalloc.start()
     try:
         mask = image_mask(phi, ball, g)
